@@ -259,6 +259,41 @@ BM_ConvForwardThreads(benchmark::State& state)
 }
 BENCHMARK(BM_ConvForwardThreads)->Arg(1)->Arg(2)->Arg(4);
 
+// Network::infer, the stateless inference path: one parallel region
+// per call, one image per chunk. Args: {shape, threads}; shape 0 is
+// TinyNet at batch 4 (a typical serving batch), shape 1 the jigsaw
+// trunk on 81 tiles (one diagnosis probe of nine images).
+void
+BM_InferThreads(benchmark::State& state)
+{
+    set_num_threads(static_cast<int>(state.range(1)));
+    const bool trunk = state.range(0) == 1;
+    Rng rng(10);
+    TinyConfig config;
+    Network net = trunk ? make_tiny_trunk(config, rng)
+                        : make_tiny_inference(config, rng);
+    const int64_t batch = trunk ? 81 : 4;
+    const int64_t side =
+        trunk ? config.image_size / 3 : config.image_size;
+    Tensor x({batch, 3, side, side});
+    x.fill_uniform(rng, 0.0f, 1.0f);
+    for (auto _ : state) {
+        Tensor y = net.infer(x);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetItemsProcessed(state.iterations() * batch);
+    state.SetLabel(trunk ? "jigsaw trunk, 81 tiles" : "tiny, batch 4");
+    set_num_threads(0);
+}
+BENCHMARK(BM_InferThreads)
+    ->ArgNames({"trunk", "threads"})
+    ->Args({0, 1})
+    ->Args({0, 2})
+    ->Args({0, 4})
+    ->Args({1, 1})
+    ->Args({1, 2})
+    ->Args({1, 4});
+
 void
 BM_ConvBackwardThreads(benchmark::State& state)
 {

@@ -13,8 +13,7 @@ InferenceTask::predict(const Tensor& images, int64_t batch_size)
     out.reserve(static_cast<size_t>(n));
     for (int64_t begin = 0; begin < n; begin += batch_size) {
         const int64_t end = std::min(n, begin + batch_size);
-        const Tensor logits =
-            net_.forward(images.slice0(begin, end), false);
+        const Tensor logits = net_.infer(images.slice0(begin, end));
         for (int64_t p : logits.argmax_rows()) out.push_back(p);
     }
     return out;
@@ -55,7 +54,7 @@ DiagnosisTask::diagnose(const Tensor& images, int64_t batch_size)
             const Tensor chunk = images.slice0(begin, end);
             const JigsawBatch batch =
                 make_jigsaw_batch(chunk, perms_, rng_);
-            const Tensor logits = net_.forward(batch.patches, false);
+            const Tensor logits = net_.infer(batch.patches);
             const auto preds = logits.argmax_rows();
             for (size_t i = 0; i < preds.size(); ++i) {
                 if (preds[i] != batch.labels[i])

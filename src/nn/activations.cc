@@ -6,20 +6,47 @@
 
 namespace insitu {
 
+namespace {
+
+/**
+ * The one ReLU kernel, shared by forward() and infer(): a select, not
+ * a branch, so it vectorizes and never mispredicts. `x > 0` is false
+ * for NaN and -0, so both map to +0. A non-null @p mask also receives
+ * the 0/1 backward mask in the same pass.
+ */
+void
+relu_kernel(const float* x, float* out, float* mask, int64_t n)
+{
+    if (mask == nullptr) {
+        for (int64_t i = 0; i < n; ++i)
+            out[i] = x[i] > 0.0f ? x[i] : 0.0f;
+        return;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+        const bool pos = x[i] > 0.0f;
+        out[i] = pos ? x[i] : 0.0f;
+        mask[i] = pos ? 1.0f : 0.0f;
+    }
+}
+
+} // namespace
+
 Tensor
 ReLU::forward(const Tensor& input, bool /*training*/)
 {
-    Tensor out = input;
-    mask_ = Tensor(input.shape());
-    float* po = out.data();
-    float* pm = mask_.data();
-    for (int64_t i = 0; i < out.numel(); ++i) {
-        if (po[i] > 0.0f) {
-            pm[i] = 1.0f;
-        } else {
-            po[i] = 0.0f;
-        }
-    }
+    // Every slot is rewritten, so a same-shape mask is reused as is.
+    if (!mask_.same_shape(input))
+        mask_ = Tensor::uninitialized(input.shape());
+    Tensor out = Tensor::uninitialized(input.shape());
+    relu_kernel(input.data(), out.data(), mask_.data(), input.numel());
+    return out;
+}
+
+Tensor
+ReLU::infer(const Tensor& input) const
+{
+    Tensor out = Tensor::uninitialized(input.shape());
+    relu_kernel(input.data(), out.data(), nullptr, input.numel());
     return out;
 }
 
@@ -38,8 +65,15 @@ ReLU::backward(const Tensor& grad_output)
 Tensor
 Flatten::forward(const Tensor& input, bool /*training*/)
 {
-    INSITU_CHECK(input.rank() >= 2, "flatten needs rank >= 2");
+    Tensor out = infer(input);
     cached_shape_ = input.shape();
+    return out;
+}
+
+Tensor
+Flatten::infer(const Tensor& input) const
+{
+    INSITU_CHECK(input.rank() >= 2, "flatten needs rank >= 2");
     return input.reshape({input.dim(0), -1});
 }
 
@@ -54,11 +88,18 @@ Flatten::backward(const Tensor& grad_output)
 Tensor
 Sigmoid::forward(const Tensor& input, bool /*training*/)
 {
-    Tensor out = input;
+    cached_output_ = infer(input);
+    return cached_output_;
+}
+
+Tensor
+Sigmoid::infer(const Tensor& input) const
+{
+    Tensor out = Tensor::uninitialized(input.shape());
+    const float* x = input.data();
     float* po = out.data();
     for (int64_t i = 0; i < out.numel(); ++i)
-        po[i] = 1.0f / (1.0f + std::exp(-po[i]));
-    cached_output_ = out;
+        po[i] = 1.0f / (1.0f + std::exp(-x[i]));
     return out;
 }
 
@@ -78,11 +119,17 @@ Sigmoid::backward(const Tensor& grad_output)
 Tensor
 Tanh::forward(const Tensor& input, bool /*training*/)
 {
-    Tensor out = input;
+    cached_output_ = infer(input);
+    return cached_output_;
+}
+
+Tensor
+Tanh::infer(const Tensor& input) const
+{
+    Tensor out = Tensor::uninitialized(input.shape());
+    const float* x = input.data();
     float* po = out.data();
-    for (int64_t i = 0; i < out.numel(); ++i)
-        po[i] = std::tanh(po[i]);
-    cached_output_ = out;
+    for (int64_t i = 0; i < out.numel(); ++i) po[i] = std::tanh(x[i]);
     return out;
 }
 
@@ -110,7 +157,7 @@ Tensor
 Dropout::forward(const Tensor& input, bool training)
 {
     last_training_ = training;
-    if (!training || p_ == 0.0) return input;
+    if (!training || p_ == 0.0) return infer(input);
     mask_ = Tensor(input.shape());
     Tensor out = input;
     const float scale = static_cast<float>(1.0 / (1.0 - p_));
@@ -126,6 +173,12 @@ Dropout::forward(const Tensor& input, bool training)
         }
     }
     return out;
+}
+
+Tensor
+Dropout::infer(const Tensor& input) const
+{
+    return input; // inverted dropout: eval mode is the identity
 }
 
 Tensor

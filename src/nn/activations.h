@@ -1,6 +1,6 @@
 /**
  * @file
- * Parameter-free layers: ReLU, Flatten, Dropout.
+ * Parameter-free layers: ReLU, Flatten, Sigmoid, Tanh, Dropout.
  */
 #pragma once
 
@@ -15,6 +15,7 @@ class ReLU : public Layer {
     explicit ReLU(std::string name = "relu") { set_name(std::move(name)); }
 
     Tensor forward(const Tensor& input, bool training) override;
+    Tensor infer(const Tensor& input) const override;
     Tensor backward(const Tensor& grad_output) override;
     std::string kind() const override { return "relu"; }
 
@@ -31,6 +32,7 @@ class Flatten : public Layer {
     }
 
     Tensor forward(const Tensor& input, bool training) override;
+    Tensor infer(const Tensor& input) const override;
     Tensor backward(const Tensor& grad_output) override;
     std::string kind() const override { return "flatten"; }
 
@@ -47,6 +49,7 @@ class Sigmoid : public Layer {
     }
 
     Tensor forward(const Tensor& input, bool training) override;
+    Tensor infer(const Tensor& input) const override;
     Tensor backward(const Tensor& grad_output) override;
     std::string kind() const override { return "sigmoid"; }
 
@@ -63,6 +66,7 @@ class Tanh : public Layer {
     }
 
     Tensor forward(const Tensor& input, bool training) override;
+    Tensor infer(const Tensor& input) const override;
     Tensor backward(const Tensor& grad_output) override;
     std::string kind() const override { return "tanh"; }
 
@@ -77,6 +81,7 @@ class Dropout : public Layer {
     Dropout(std::string name, double p, Rng& rng);
 
     Tensor forward(const Tensor& input, bool training) override;
+    Tensor infer(const Tensor& input) const override;
     Tensor backward(const Tensor& grad_output) override;
     std::string kind() const override { return "dropout"; }
 

@@ -59,10 +59,17 @@ Conv2d::geometry(const Tensor& input) const
 Tensor
 Conv2d::forward(const Tensor& input, bool /*training*/)
 {
+    Tensor out = infer(input);
+    cached_input_ = input;
+    return out;
+}
+
+Tensor
+Conv2d::infer(const Tensor& input) const
+{
     const ConvGeometry g = geometry(input);
     const int64_t batch = input.dim(0);
     const int64_t oh = g.out_h(), ow = g.out_w();
-    cached_input_ = input;
 
     if (backend_ == ConvBackend::kDirect) {
         return conv2d_direct(input, weight_->value(), bias_->value(),

@@ -37,6 +37,7 @@ class Conv2d : public Layer {
            int64_t kernel, int64_t stride, int64_t pad, Rng& rng);
 
     Tensor forward(const Tensor& input, bool training) override;
+    Tensor infer(const Tensor& input) const override;
     Tensor backward(const Tensor& grad_output) override;
     std::vector<ParameterPtr> params() override;
     void set_param(size_t i, ParameterPtr p) override;

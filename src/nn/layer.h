@@ -5,6 +5,8 @@
  * Layers own (via shared_ptr) their parameters and cache whatever they
  * need from forward() to compute backward(). A layer processes a whole
  * batch at once; activations are NCHW or (batch, features) rank-2.
+ * infer() is the stateless inference entry: the same kernel as
+ * forward(), minus the backward cache.
  */
 #pragma once
 
@@ -34,8 +36,21 @@ class Layer {
     const std::string& name() const { return name_; }
     void set_name(std::string name) { name_ = std::move(name); }
 
-    /** Run the layer on a batch. @p training enables dropout etc. */
+    /**
+     * Run the layer on a batch and record what backward() needs.
+     * @p training enables dropout etc. Every layer implements this as
+     * "record the backward cache, then run the infer() kernel".
+     */
     virtual Tensor forward(const Tensor& input, bool training) = 0;
+
+    /**
+     * Stateless inference: bit-identical to forward(input, false) but
+     * writes no member state, so any number of threads may call it on
+     * the same layer at once (Network::infer runs one call per image
+     * slice). Every layer's math is per-sample, so the result for an
+     * image does not depend on the rest of its batch.
+     */
+    virtual Tensor infer(const Tensor& input) const = 0;
 
     /**
      * Back-propagate: given dLoss/dOutput, accumulate parameter

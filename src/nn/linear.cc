@@ -31,11 +31,18 @@ Linear::Linear(std::string name, int64_t in_features,
 Tensor
 Linear::forward(const Tensor& input, bool /*training*/)
 {
+    Tensor out = infer(input);
+    cached_input_ = input;
+    return out;
+}
+
+Tensor
+Linear::infer(const Tensor& input) const
+{
     INSITU_CHECK(input.rank() == 2, "linear expects rank-2 input");
     INSITU_CHECK(input.dim(1) == in_features_, "linear ", name_,
                  ": input features ", input.dim(1), " != ",
                  in_features_);
-    cached_input_ = input;
     Tensor out = matmul_tb(input, weight_->value()); // (B, out)
     const float* pb = bias_->value().data();
     const int64_t batch = out.dim(0);

@@ -22,6 +22,7 @@ class Linear : public Layer {
            Rng& rng);
 
     Tensor forward(const Tensor& input, bool training) override;
+    Tensor infer(const Tensor& input) const override;
     Tensor backward(const Tensor& grad_output) override;
     std::vector<ParameterPtr> params() override;
     void set_param(size_t i, ParameterPtr p) override;

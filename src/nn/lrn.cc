@@ -21,14 +21,27 @@ LocalResponseNorm::LocalResponseNorm(std::string name, int64_t size,
 Tensor
 LocalResponseNorm::forward(const Tensor& input, bool /*training*/)
 {
-    INSITU_CHECK(input.rank() == 4, "LRN expects NCHW input");
+    if (!cached_scale_.same_shape(input))
+        cached_scale_ = Tensor::uninitialized(input.shape());
+    Tensor out = run(input, cached_scale_.data());
     cached_input_ = input;
+    return out;
+}
+
+Tensor
+LocalResponseNorm::infer(const Tensor& input) const
+{
+    return run(input, nullptr);
+}
+
+Tensor
+LocalResponseNorm::run(const Tensor& input, float* s) const
+{
+    INSITU_CHECK(input.rank() == 4, "LRN expects NCHW input");
     const int64_t b = input.dim(0), c = input.dim(1);
     const int64_t hw = input.dim(2) * input.dim(3);
-    cached_scale_ = Tensor(input.shape());
-    Tensor out(input.shape());
+    Tensor out = Tensor::uninitialized(input.shape());
     const float* x = input.data();
-    float* s = cached_scale_.data();
     float* y = out.data();
     const int64_t half = size_ / 2;
     const double coeff = alpha_ / static_cast<double>(size_);
@@ -47,7 +60,7 @@ LocalResponseNorm::forward(const Tensor& input, bool /*training*/)
                     }
                     const int64_t idx = (n * c + i) * hw + p;
                     const double scale = k_ + coeff * sum;
-                    s[idx] = static_cast<float>(scale);
+                    if (s != nullptr) s[idx] = static_cast<float>(scale);
                     y[idx] = static_cast<float>(
                         x[idx] * std::pow(scale, -beta_));
                 }

@@ -27,11 +27,15 @@ class LocalResponseNorm : public Layer {
                       double k = 2.0);
 
     Tensor forward(const Tensor& input, bool training) override;
+    Tensor infer(const Tensor& input) const override;
     Tensor backward(const Tensor& grad_output) override;
     std::string kind() const override { return "lrn"; }
     std::string describe() const override;
 
   private:
+    /// The one forward kernel; a non-null @p scale receives s_i.
+    Tensor run(const Tensor& input, float* scale) const;
+
     int64_t size_;
     double alpha_, beta_, k_;
     Tensor cached_input_;

@@ -1,5 +1,6 @@
 #include "nn/network.h"
 
+#include <cstring>
 #include <sstream>
 #include <unordered_set>
 
@@ -7,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace insitu {
 
@@ -50,6 +52,50 @@ Network::forward(const Tensor& input, bool training)
             .observe(obs::now_s() - t0);
     }
     return x;
+}
+
+Tensor
+Network::infer(const Tensor& input) const
+{
+    obs::ScopedSpan span("nn.forward", "network", name_);
+    INSITU_CHECK(input.rank() >= 1, "infer needs a batch dimension");
+    // Histogram handles are resolved here, serially: the registry
+    // lookup takes a lock the chunks should not contend on.
+    std::vector<obs::Histogram*> times;
+    times.reserve(layers_.size());
+    for (const auto& layer : layers_)
+        times.push_back(&layer_time_histogram("forward", layer->kind()));
+    auto run_stack = [&](Tensor x) {
+        for (size_t i = 0; i < layers_.size(); ++i) {
+            const double t0 = obs::now_s();
+            x = layers_[i]->infer(x);
+            times[i]->observe(obs::now_s() - t0);
+        }
+        return x;
+    };
+    const int64_t batch = input.dim(0);
+    if (batch == 0) return run_stack(input);
+
+    // Fixed grain of one image (rule 1): chunk c is image c at every
+    // width, and it writes only parts[c] (rule 2).
+    std::vector<Tensor> parts(static_cast<size_t>(batch));
+    parallel_for_chunks(0, batch, 1,
+                        [&](int64_t c, int64_t b0, int64_t b1) {
+        parts[static_cast<size_t>(c)] = run_stack(input.slice0(b0, b1));
+    });
+    std::vector<int64_t> shape = parts.front().shape();
+    shape[0] = batch;
+    Tensor out = Tensor::uninitialized(std::move(shape));
+    float* dst = out.data();
+    for (const Tensor& part : parts) {
+        INSITU_CHECK(part.same_shape(parts.front()),
+                     "infer: a layer changed the per-image shape");
+        if (part.numel() == 0) continue;
+        std::memcpy(dst, part.data(),
+                    static_cast<size_t>(part.numel()) * sizeof(float));
+        dst += part.numel();
+    }
+    return out;
 }
 
 Tensor

@@ -44,8 +44,19 @@ class Network {
         return add(std::make_unique<L>(std::forward<Args>(args)...));
     }
 
-    /** Run all layers. */
+    /** Run all layers, recording every layer's backward cache. */
     Tensor forward(const Tensor& input, bool training = false);
+
+    /**
+     * Stateless inference, bit-identical to forward(input, false) at
+     * any thread width. One parallel region per call: the batch is
+     * sliced into one-image chunks and each chunk runs the whole
+     * layer stack (Layer::infer; nested parallel_for calls run
+     * inline), so an image stays in one core's cache and no layer
+     * pays a pool dispatch of its own. Chunk outputs are joined in
+     * chunk order. Use forward() when a backward() follows.
+     */
+    Tensor infer(const Tensor& input) const;
 
     /**
      * Back-propagate (after a forward pass). Backward stops at the

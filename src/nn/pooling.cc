@@ -3,6 +3,7 @@
 #include <limits>
 #include <sstream>
 
+#include "tensor/gemm.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -25,6 +26,15 @@ pool_out(int64_t in, int64_t kernel, int64_t stride)
     return (in - kernel) / stride + 1;
 }
 
+/// Planes per chunk: a plane is @p plane_out windows of k*k reads.
+/// Planes are disjoint, so any grain is bit-identical; this one keeps
+/// small planes from costing a pool hand-off each.
+int64_t
+plane_grain(int64_t plane_out, int64_t kernel)
+{
+    return flops_grain(plane_out * kernel * kernel);
+}
+
 } // namespace
 
 MaxPool2d::MaxPool2d(std::string name, int64_t kernel, int64_t stride)
@@ -36,19 +46,36 @@ MaxPool2d::MaxPool2d(std::string name, int64_t kernel, int64_t stride)
 Tensor
 MaxPool2d::forward(const Tensor& input, bool /*training*/)
 {
-    check_pool_input(input, kernel_, stride_);
+    Tensor out = run(input, &argmax_);
     cached_in_shape_ = input.shape();
+    return out;
+}
+
+Tensor
+MaxPool2d::infer(const Tensor& input) const
+{
+    return run(input, nullptr);
+}
+
+Tensor
+MaxPool2d::run(const Tensor& input, std::vector<int32_t>* argmax) const
+{
+    check_pool_input(input, kernel_, stride_);
     const int64_t batch = input.dim(0), ch = input.dim(1);
     const int64_t ih = input.dim(2), iw = input.dim(3);
     const int64_t oh = pool_out(ih, kernel_, stride_);
     const int64_t ow = pool_out(iw, kernel_, stride_);
-    Tensor out({batch, ch, oh, ow});
-    argmax_.assign(static_cast<size_t>(out.numel()), 0);
+    Tensor out = Tensor::uninitialized({batch, ch, oh, ow});
+    // Every slot is written below, so no fill.
+    if (argmax != nullptr)
+        argmax->resize(static_cast<size_t>(out.numel()));
+    int32_t* am = argmax != nullptr ? argmax->data() : nullptr;
     const float* in = input.data();
     float* po = out.data();
     // Plane-parallel: each (batch, channel) plane owns its output and
     // argmax slice.
-    parallel_for(0, batch * ch, 1, [&](int64_t p0, int64_t p1) {
+    parallel_for(0, batch * ch, plane_grain(oh * ow, kernel_),
+                 [&](int64_t p0, int64_t p1) {
         for (int64_t p = p0; p < p1; ++p) {
             const float* plane = in + p * ih * iw;
             int64_t oi = p * oh * ow;
@@ -68,8 +95,8 @@ MaxPool2d::forward(const Tensor& input, bool /*training*/)
                         }
                     }
                     po[oi] = best;
-                    argmax_[static_cast<size_t>(oi)] =
-                        static_cast<int32_t>(best_idx);
+                    if (am != nullptr)
+                        am[oi] = static_cast<int32_t>(best_idx);
                 }
             }
         }
@@ -92,7 +119,8 @@ MaxPool2d::backward(const Tensor& grad_output)
                  "maxpool grad_output shape mismatch");
     const float* go = grad_output.data();
     float* gi = grad_input.data();
-    parallel_for(0, batch * ch, 1, [&](int64_t p0, int64_t p1) {
+    parallel_for(0, batch * ch, plane_grain(per_plane_out, kernel_),
+                 [&](int64_t p0, int64_t p1) {
         for (int64_t p = p0; p < p1; ++p) {
             float* plane = gi + p * ih * iw;
             int64_t oi = p * per_plane_out;
@@ -120,17 +148,25 @@ AvgPool2d::AvgPool2d(std::string name, int64_t kernel, int64_t stride)
 Tensor
 AvgPool2d::forward(const Tensor& input, bool /*training*/)
 {
-    check_pool_input(input, kernel_, stride_);
+    Tensor out = infer(input);
     cached_in_shape_ = input.shape();
+    return out;
+}
+
+Tensor
+AvgPool2d::infer(const Tensor& input) const
+{
+    check_pool_input(input, kernel_, stride_);
     const int64_t batch = input.dim(0), ch = input.dim(1);
     const int64_t ih = input.dim(2), iw = input.dim(3);
     const int64_t oh = pool_out(ih, kernel_, stride_);
     const int64_t ow = pool_out(iw, kernel_, stride_);
-    Tensor out({batch, ch, oh, ow});
+    Tensor out = Tensor::uninitialized({batch, ch, oh, ow});
     const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
     const float* in = input.data();
     float* po = out.data();
-    parallel_for(0, batch * ch, 1, [&](int64_t p0, int64_t p1) {
+    parallel_for(0, batch * ch, plane_grain(oh * ow, kernel_),
+                 [&](int64_t p0, int64_t p1) {
         for (int64_t p = p0; p < p1; ++p) {
             const float* plane = in + p * ih * iw;
             int64_t oi = p * oh * ow;
@@ -165,7 +201,8 @@ AvgPool2d::backward(const Tensor& grad_output)
     const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
     const float* go = grad_output.data();
     float* gi = grad_input.data();
-    parallel_for(0, batch * ch, 1, [&](int64_t p0, int64_t p1) {
+    parallel_for(0, batch * ch, plane_grain(oh * ow, kernel_),
+                 [&](int64_t p0, int64_t p1) {
         for (int64_t p = p0; p < p1; ++p) {
             float* plane = gi + p * ih * iw;
             int64_t oi = p * oh * ow;

@@ -14,11 +14,14 @@ class MaxPool2d : public Layer {
     MaxPool2d(std::string name, int64_t kernel, int64_t stride);
 
     Tensor forward(const Tensor& input, bool training) override;
+    Tensor infer(const Tensor& input) const override;
     Tensor backward(const Tensor& grad_output) override;
     std::string kind() const override { return "maxpool"; }
     std::string describe() const override;
 
   private:
+    Tensor run(const Tensor& input, std::vector<int32_t>* argmax) const;
+
     int64_t kernel_, stride_;
     std::vector<int64_t> cached_in_shape_;
     std::vector<int32_t> argmax_;
@@ -30,6 +33,7 @@ class AvgPool2d : public Layer {
     AvgPool2d(std::string name, int64_t kernel, int64_t stride);
 
     Tensor forward(const Tensor& input, bool training) override;
+    Tensor infer(const Tensor& input) const override;
     Tensor backward(const Tensor& grad_output) override;
     std::string kind() const override { return "avgpool"; }
     std::string describe() const override;

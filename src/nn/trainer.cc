@@ -22,7 +22,7 @@ train_batch(Network& net, Sgd& opt, const Tensor& inputs,
 }
 
 double
-evaluate_accuracy(Network& net, const Tensor& inputs,
+evaluate_accuracy(const Network& net, const Tensor& inputs,
                   const std::vector<int64_t>& labels,
                   int64_t batch_size)
 {
@@ -34,7 +34,7 @@ evaluate_accuracy(Network& net, const Tensor& inputs,
     for (int64_t begin = 0; begin < n; begin += batch_size) {
         const int64_t end = std::min(n, begin + batch_size);
         const Tensor chunk = inputs.slice0(begin, end);
-        const Tensor logits = net.forward(chunk, /*training=*/false);
+        const Tensor logits = net.infer(chunk);
         const auto preds = logits.argmax_rows();
         for (int64_t i = 0; i < end - begin; ++i)
             if (preds[static_cast<size_t>(i)] ==

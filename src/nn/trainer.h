@@ -18,9 +18,9 @@ class Rng;
 double train_batch(Network& net, Sgd& opt, const Tensor& inputs,
                    const std::vector<int64_t>& labels);
 
-/** Top-1 accuracy of @p net on (inputs, labels), evaluated in chunks
- *  of @p batch_size to bound memory. */
-double evaluate_accuracy(Network& net, const Tensor& inputs,
+/** Top-1 accuracy of @p net on (inputs, labels), evaluated with
+ *  Network::infer in chunks of @p batch_size to bound memory. */
+double evaluate_accuracy(const Network& net, const Tensor& inputs,
                          const std::vector<int64_t>& labels,
                          int64_t batch_size = 64);
 

@@ -100,24 +100,47 @@ JigsawNetwork::JigsawNetwork(Network trunk, Network head)
     : trunk_(std::move(trunk)), head_(std::move(head))
 {}
 
+namespace {
+
+/// Fold tiles into the batch: (B, 9, C, ph, pw) -> (B*9, C, ph, pw),
+/// so one trunk with shared weights sees all nine tiles.
 Tensor
-JigsawNetwork::forward(const Tensor& patches, bool training)
+fold_tiles(const Tensor& patches)
 {
     INSITU_CHECK(patches.rank() == 5 &&
                      patches.dim(1) == PermutationSet::kTiles,
                  "jigsaw forward expects (B, 9, C, ph, pw)");
-    const int64_t b = patches.dim(0);
-    last_batch_ = b;
-    // Fold tiles into the batch: one trunk, nine tiles, shared
-    // weights — gradients accumulate in the shared parameters.
-    const Tensor folded = patches.reshape(
-        {b * PermutationSet::kTiles, patches.dim(2), patches.dim(3),
-         patches.dim(4)});
-    const Tensor feats = trunk_.forward(folded, training);
+    return patches.reshape(
+        {patches.dim(0) * PermutationSet::kTiles, patches.dim(2),
+         patches.dim(3), patches.dim(4)});
+}
+
+/// Per-tile features (B*9, F) -> the head's input (B, 9*F).
+Tensor
+concat_tiles(const Tensor& feats, int64_t batch)
+{
     INSITU_CHECK(feats.rank() == 2,
                  "jigsaw trunk must emit rank-2 features");
-    const Tensor concat = feats.reshape({b, -1});
-    return head_.forward(concat, training);
+    return feats.reshape({batch, -1});
+}
+
+} // namespace
+
+Tensor
+JigsawNetwork::forward(const Tensor& patches, bool training)
+{
+    const Tensor folded = fold_tiles(patches);
+    last_batch_ = patches.dim(0);
+    // Gradients of the nine tiles accumulate in the shared parameters.
+    const Tensor feats = trunk_.forward(folded, training);
+    return head_.forward(concat_tiles(feats, last_batch_), training);
+}
+
+Tensor
+JigsawNetwork::infer(const Tensor& patches) const
+{
+    const Tensor feats = trunk_.infer(fold_tiles(patches));
+    return head_.infer(concat_tiles(feats, patches.dim(0)));
 }
 
 void
@@ -145,7 +168,7 @@ JigsawNetwork::train_batch(Sgd& opt, const JigsawBatch& batch)
 double
 JigsawNetwork::evaluate(const Tensor& images,
                         const PermutationSet& perms, Rng& rng,
-                        int64_t batch_size)
+                        int64_t batch_size) const
 {
     const int64_t n = images.dim(0);
     if (n == 0) return 0.0;
@@ -154,7 +177,7 @@ JigsawNetwork::evaluate(const Tensor& images,
         const int64_t end = std::min(n, begin + batch_size);
         const Tensor chunk = images.slice0(begin, end);
         const JigsawBatch batch = make_jigsaw_batch(chunk, perms, rng);
-        const Tensor logits = forward(batch.patches, false);
+        const Tensor logits = infer(batch.patches);
         const auto preds = logits.argmax_rows();
         for (size_t i = 0; i < preds.size(); ++i)
             if (preds[i] == batch.labels[i]) ++correct;

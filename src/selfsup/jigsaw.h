@@ -69,6 +69,9 @@ class JigsawNetwork {
     /** Forward: (B, 9, C, ph, pw) -> (B, n_perm) logits. */
     Tensor forward(const Tensor& patches, bool training = false);
 
+    /** Stateless forward(patches, false) via Network::infer. */
+    Tensor infer(const Tensor& patches) const;
+
     /** Backward through head and (fold-batched) trunk. */
     void backward(const Tensor& grad_logits);
 
@@ -77,7 +80,7 @@ class JigsawNetwork {
 
     /** Pretext top-1 accuracy over a batch set. */
     double evaluate(const Tensor& images, const PermutationSet& perms,
-                    Rng& rng, int64_t batch_size = 32);
+                    Rng& rng, int64_t batch_size = 32) const;
 
     /** Distinct parameters of trunk + head. */
     std::vector<ParameterPtr> params() const;

@@ -16,6 +16,25 @@ neighbor_tile(int64_t choice)
     return choice < 4 ? choice : choice + 1;
 }
 
+/// Fold the pair into the batch: (B, 2, C, ph, pw) -> (B*2, C, ph, pw).
+Tensor
+fold_pairs(const Tensor& pairs)
+{
+    INSITU_CHECK(pairs.rank() == 5 && pairs.dim(1) == 2,
+                 "relative forward expects (B, 2, C, ph, pw)");
+    return pairs.reshape(
+        {pairs.dim(0) * 2, pairs.dim(2), pairs.dim(3), pairs.dim(4)});
+}
+
+/// Per-patch features (B*2, F) -> the head's input (B, 2*F).
+Tensor
+concat_pair(const Tensor& feats, int64_t batch)
+{
+    INSITU_CHECK(feats.rank() == 2,
+                 "relative trunk must emit rank-2 features");
+    return feats.reshape({batch, -1});
+}
+
 } // namespace
 
 RelativeBatch
@@ -57,16 +76,17 @@ RelativePositionNetwork::RelativePositionNetwork(Network trunk,
 Tensor
 RelativePositionNetwork::forward(const Tensor& pairs, bool training)
 {
-    INSITU_CHECK(pairs.rank() == 5 && pairs.dim(1) == 2,
-                 "relative forward expects (B, 2, C, ph, pw)");
-    const int64_t b = pairs.dim(0);
-    last_batch_ = b;
-    const Tensor folded = pairs.reshape(
-        {b * 2, pairs.dim(2), pairs.dim(3), pairs.dim(4)});
+    const Tensor folded = fold_pairs(pairs);
+    last_batch_ = pairs.dim(0);
     const Tensor feats = trunk_.forward(folded, training);
-    INSITU_CHECK(feats.rank() == 2,
-                 "relative trunk must emit rank-2 features");
-    return head_.forward(feats.reshape({b, -1}), training);
+    return head_.forward(concat_pair(feats, last_batch_), training);
+}
+
+Tensor
+RelativePositionNetwork::infer(const Tensor& pairs) const
+{
+    const Tensor feats = trunk_.infer(fold_pairs(pairs));
+    return head_.infer(concat_pair(feats, pairs.dim(0)));
 }
 
 void
@@ -92,7 +112,7 @@ RelativePositionNetwork::train_batch(Sgd& opt,
 
 double
 RelativePositionNetwork::evaluate(const Tensor& images, Rng& rng,
-                                  int64_t batch_size)
+                                  int64_t batch_size) const
 {
     const int64_t n = images.dim(0);
     if (n == 0) return 0.0;
@@ -101,7 +121,7 @@ RelativePositionNetwork::evaluate(const Tensor& images, Rng& rng,
         const int64_t end = std::min(n, begin + batch_size);
         const RelativeBatch batch =
             make_relative_batch(images.slice0(begin, end), rng);
-        const Tensor logits = forward(batch.pairs, false);
+        const Tensor logits = infer(batch.pairs);
         const auto preds = logits.argmax_rows();
         for (size_t i = 0; i < preds.size(); ++i)
             if (preds[i] == batch.labels[i]) ++correct;

@@ -54,6 +54,9 @@ class RelativePositionNetwork {
     /** Forward: (B, 2, C, ph, pw) -> (B, 8) logits. */
     Tensor forward(const Tensor& pairs, bool training = false);
 
+    /** Stateless forward(pairs, false) via Network::infer. */
+    Tensor infer(const Tensor& pairs) const;
+
     /** Backward through head and the batch-folded trunk. */
     void backward(const Tensor& grad_logits);
 
@@ -62,7 +65,7 @@ class RelativePositionNetwork {
 
     /** Pretext top-1 accuracy over an image set. */
     double evaluate(const Tensor& images, Rng& rng,
-                    int64_t batch_size = 32);
+                    int64_t batch_size = 32) const;
 
     std::vector<ParameterPtr> params() const;
     void zero_grad();

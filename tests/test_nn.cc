@@ -2,21 +2,30 @@
  * @file
  * Unit tests for layers, the network container, weight
  * sharing/freezing surgery, loss, optimizer, trainer and
- * serialization.
+ * serialization, and the stateless inference path (Layer::infer,
+ * Network::infer and the tasks built on it).
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
 
+#include "iot/tasks.h"
+#include "models/tiny.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
+#include "nn/lrn.h"
 #include "nn/network.h"
 #include "nn/optimizer.h"
 #include "nn/pooling.h"
 #include "nn/serialize.h"
 #include "nn/trainer.h"
+#include "selfsup/relative.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace insitu {
@@ -80,6 +89,24 @@ TEST(ReLU, ForwardAndBackwardMask)
     const Tensor gi = relu.backward(g);
     EXPECT_EQ(gi.at(0), 0.0f);
     EXPECT_EQ(gi.at(2), 1.0f);
+}
+
+TEST(ReLU, NanAndNegativeZeroMapToPositiveZero)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    ReLU relu;
+    const Tensor x({4}, {nan, -0.0f, 0.0f, 3.0f});
+    for (const Tensor& y : {relu.forward(x, true), relu.infer(x)}) {
+        for (int64_t i = 0; i < 3; ++i) {
+            EXPECT_EQ(y.at(i), 0.0f) << i;
+            EXPECT_FALSE(std::signbit(y.at(i))) << i;
+        }
+        EXPECT_EQ(y.at(3), 3.0f);
+    }
+    const Tensor gi = relu.backward(Tensor({4}, 1.0f));
+    EXPECT_EQ(gi.at(0), 0.0f);
+    EXPECT_EQ(gi.at(1), 0.0f);
+    EXPECT_EQ(gi.at(3), 1.0f);
 }
 
 TEST(Flatten, RoundTripShapes)
@@ -419,6 +446,254 @@ TEST(Network, SummaryMentionsLayers)
     EXPECT_NE(s.find("demo"), std::string::npos);
     EXPECT_NE(s.find("conv1"), std::string::npos);
     EXPECT_NE(s.find("trainable"), std::string::npos);
+}
+
+// --- stateless inference ------------------------------------------
+
+void
+expect_bit_identical(const Tensor& got, const Tensor& want,
+                     const std::string& what)
+{
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    if (want.numel() == 0) return;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<size_t>(want.numel()) *
+                              sizeof(float)),
+              0)
+        << what;
+}
+
+/// Batches and widths every infer test sweeps: a single image, an odd
+/// batch, a full default batch, and nine images' worth of jigsaw
+/// tiles; serial and the 4-wide pool.
+constexpr int64_t kInferBatches[] = {1, 3, 32, 81};
+constexpr int kInferWidths[] = {1, 4};
+
+/// One network per layer kind, each with its per-image input shape.
+struct KindCase {
+    std::string label;
+    Network net;
+    std::vector<int64_t> image_shape;
+};
+
+std::vector<KindCase>
+layer_kind_cases(Rng& rng)
+{
+    std::vector<KindCase> out;
+    auto add = [&](std::string label, LayerPtr layer,
+                   std::vector<int64_t> shape) {
+        Network net(label);
+        net.add(std::move(layer));
+        out.push_back({std::move(label), std::move(net),
+                       std::move(shape)});
+    };
+    add("conv/im2col",
+        std::make_unique<Conv2d>("conv", 3, 4, 3, 1, 1, rng),
+        {3, 9, 9});
+    auto direct = std::make_unique<Conv2d>("conv", 3, 4, 3, 2, 1, rng);
+    direct->set_backend(ConvBackend::kDirect);
+    add("conv/direct", std::move(direct), {3, 9, 9});
+    add("linear", std::make_unique<Linear>("fc", 12, 5, rng), {12});
+    add("relu", std::make_unique<ReLU>(), {4, 6, 6});
+    add("maxpool", std::make_unique<MaxPool2d>("mp", 3, 2), {4, 7, 7});
+    add("avgpool", std::make_unique<AvgPool2d>("ap", 2, 2), {4, 6, 6});
+    add("lrn", std::make_unique<LocalResponseNorm>("lrn", 5),
+        {6, 4, 4});
+    add("flatten", std::make_unique<Flatten>(), {2, 3, 3});
+    add("dropout", std::make_unique<Dropout>("drop", 0.5, rng), {10});
+    add("sigmoid", std::make_unique<Sigmoid>(), {10});
+    add("tanh", std::make_unique<Tanh>(), {10});
+    return out;
+}
+
+Tensor
+random_batch(int64_t batch, const std::vector<int64_t>& image_shape,
+             Rng& rng)
+{
+    std::vector<int64_t> shape = {batch};
+    shape.insert(shape.end(), image_shape.begin(), image_shape.end());
+    Tensor x(shape);
+    x.fill_uniform(rng, -1.0f, 1.0f);
+    return x;
+}
+
+TEST(Infer, EveryLayerKindMatchesEvalForward)
+{
+    Rng rng(31);
+    auto cases = layer_kind_cases(rng);
+    for (const int64_t batch : kInferBatches) {
+        for (KindCase& c : cases) {
+            const Tensor x = random_batch(batch, c.image_shape, rng);
+            set_num_threads(1);
+            const Tensor want = c.net.forward(x, false);
+            for (const int width : kInferWidths) {
+                set_num_threads(width);
+                const std::string what = c.label + " batch " +
+                                         std::to_string(batch) +
+                                         " width " +
+                                         std::to_string(width);
+                expect_bit_identical(c.net.layer(0).infer(x), want,
+                                     what + " (layer)");
+                expect_bit_identical(c.net.infer(x), want,
+                                     what + " (network)");
+            }
+        }
+    }
+    set_num_threads(0);
+}
+
+/// Every layer kind in one stack, so backward crosses all of them.
+Network
+make_all_kinds(Rng& rng)
+{
+    Network net("all_kinds");
+    auto direct = std::make_unique<Conv2d>("conv2", 4, 4, 3, 1, 1, rng);
+    direct->set_backend(ConvBackend::kDirect);
+    net.emplace<Conv2d>("conv1", 3, 4, 3, 1, 1, rng)
+        .emplace<LocalResponseNorm>("lrn", 3)
+        .emplace<ReLU>()
+        .emplace<MaxPool2d>("pool1", 2, 2)
+        .add(std::move(direct))
+        .emplace<Tanh>()
+        .emplace<AvgPool2d>("pool2", 2, 2)
+        .emplace<Flatten>()
+        .emplace<Dropout>("drop", 0.25, rng)
+        .emplace<Linear>("fc1", 4 * 3 * 3, 6, rng)
+        .emplace<Sigmoid>()
+        .emplace<Linear>("fc2", 6, 3, rng);
+    return net;
+}
+
+TEST(Infer, StackedNetworksMatchEvalForward)
+{
+    Rng rng(32);
+    Network all = make_all_kinds(rng);
+    Network tiny = make_tiny_inference(TinyConfig{}, rng);
+    for (const int64_t batch : kInferBatches) {
+        const Tensor xa = random_batch(batch, {3, 12, 12}, rng);
+        const Tensor xt = random_batch(batch, {3, 24, 24}, rng);
+        set_num_threads(1);
+        const Tensor want_all = all.forward(xa, false);
+        const Tensor want_tiny = tiny.forward(xt, false);
+        for (const int width : kInferWidths) {
+            set_num_threads(width);
+            const std::string at = " batch " + std::to_string(batch) +
+                                   " width " + std::to_string(width);
+            expect_bit_identical(all.infer(xa), want_all,
+                                 "all kinds" + at);
+            expect_bit_identical(tiny.infer(xt), want_tiny,
+                                 "tiny" + at);
+        }
+    }
+    set_num_threads(0);
+}
+
+TEST(Infer, PretextNetworksMatchEvalForward)
+{
+    TinyConfig config;
+    config.num_permutations = 8;
+    Rng rng(33);
+    PermutationSet perms(config.num_permutations, rng);
+    JigsawNetwork jigsaw = make_tiny_jigsaw(config, rng);
+    RelativePositionNetwork relative = make_tiny_relative(config, rng);
+    for (const int64_t batch : kInferBatches) {
+        const Tensor images = random_batch(batch, {3, 24, 24}, rng);
+        const Tensor patches =
+            make_jigsaw_batch(images, perms, rng).patches;
+        const Tensor pairs = make_relative_batch(images, rng).pairs;
+        set_num_threads(1);
+        const Tensor want_jigsaw = jigsaw.forward(patches, false);
+        const Tensor want_relative = relative.forward(pairs, false);
+        for (const int width : kInferWidths) {
+            set_num_threads(width);
+            const std::string at = " batch " + std::to_string(batch) +
+                                   " width " + std::to_string(width);
+            expect_bit_identical(jigsaw.infer(patches), want_jigsaw,
+                                 "jigsaw" + at);
+            expect_bit_identical(relative.infer(pairs), want_relative,
+                                 "relative" + at);
+        }
+    }
+    set_num_threads(0);
+}
+
+TEST(Infer, LeavesTheBackwardCacheAlone)
+{
+    // forward -> infer(another batch) -> backward must give exactly
+    // the gradients of forward -> backward: infer touches no cache.
+    // Both nets share a seed, so their dropout masks match too.
+    auto grads = [](bool interleave_infer) {
+        Rng rng(34);
+        Network net = make_all_kinds(rng);
+        const Tensor x = random_batch(3, {3, 12, 12}, rng);
+        const Tensor other = random_batch(5, {3, 12, 12}, rng);
+        Tensor g({3, 3});
+        g.fill_uniform(rng, -1.0f, 1.0f);
+        net.zero_grad();
+        net.forward(x, /*training=*/true);
+        if (interleave_infer) net.infer(other);
+        std::vector<Tensor> out = {net.backward(g)};
+        for (const auto& p : net.params()) out.push_back(p->grad());
+        return out;
+    };
+    const auto want = grads(false);
+    const auto got = grads(true);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+        expect_bit_identical(got[i], want[i],
+                             "gradient " + std::to_string(i));
+}
+
+TEST(Infer, PredictAndDiagnoseMatchForwardReference)
+{
+    TinyConfig config;
+    config.num_permutations = 8;
+    Rng rng(35);
+    PermutationSet perms(config.num_permutations, rng);
+    const Tensor images = random_batch(37, {3, 24, 24}, rng);
+    constexpr int64_t kBatch = 8;
+    const DiagnosisConfig dcfg{.probes = 2, .fail_threshold = 2};
+    constexpr uint64_t kDiagSeed = 77;
+
+    InferenceTask inference(make_tiny_inference(config, rng));
+    auto make_diagnosis = [&] {
+        Rng r(36);
+        return DiagnosisTask(make_tiny_jigsaw(config, r), perms, dcfg,
+                             kDiagSeed);
+    };
+
+    // Forward-path references, replaying diagnose()'s probe draws.
+    set_num_threads(1);
+    const auto want_preds =
+        inference.network().forward(images, false).argmax_rows();
+    DiagnosisTask ref = make_diagnosis();
+    Rng probe_rng(kDiagSeed);
+    std::vector<int> failures(37, 0);
+    for (int probe = 0; probe < dcfg.probes; ++probe) {
+        for (int64_t b = 0; b < 37; b += kBatch) {
+            const int64_t e = std::min<int64_t>(37, b + kBatch);
+            const JigsawBatch batch =
+                make_jigsaw_batch(images.slice0(b, e), perms, probe_rng);
+            const auto preds = ref.network()
+                                   .forward(batch.patches, false)
+                                   .argmax_rows();
+            for (size_t i = 0; i < preds.size(); ++i)
+                if (preds[i] != batch.labels[i])
+                    ++failures[static_cast<size_t>(b) + i];
+        }
+    }
+    std::vector<bool> want_flags;
+    for (int f : failures) want_flags.push_back(f >= dcfg.fail_threshold);
+
+    for (const int width : kInferWidths) {
+        set_num_threads(width);
+        EXPECT_EQ(inference.predict(images, kBatch), want_preds)
+            << "width " << width;
+        DiagnosisTask diagnosis = make_diagnosis();
+        EXPECT_EQ(diagnosis.diagnose(images, kBatch), want_flags)
+            << "width " << width;
+    }
+    set_num_threads(0);
 }
 
 } // namespace
