@@ -241,26 +241,71 @@ BENCHMARK(BM_MatmulThreads)
     ->Args({256, 2})
     ->Args({256, 4});
 
+// Conv problems of the threaded conv benches. Shape 0 is one
+// 16->32 conv on a batch of 32 12x12 maps. Shape 1 is the jigsaw
+// trunk's five convs at their own geometry on 81 8x8 tiles (one
+// diagnosis probe of nine images): 8x8, 4x4 and three 2x2 maps, the
+// small-map GEMMs the grouped im2col lowering widens.
+struct ConvProblem {
+    std::vector<Conv2d> convs;
+    std::vector<Tensor> inputs;
+    int64_t batch = 0;
+};
+
+ConvProblem
+make_conv_problem(bool trunk)
+{
+    Rng rng(3);
+    ConvProblem p;
+    auto add = [&](int64_t in_c, int64_t out_c, int64_t side) {
+        p.convs.emplace_back("c", in_c, out_c, 3, 1, 1, rng);
+        Tensor x({p.batch, in_c, side, side});
+        x.fill_uniform(rng, -1.0f, 1.0f);
+        p.inputs.push_back(std::move(x));
+    };
+    if (!trunk) {
+        p.batch = 32;
+        add(16, 32, 12);
+        return p;
+    }
+    p.batch = 81;
+    add(3, 16, 8);
+    add(16, 24, 4);
+    add(24, 32, 2);
+    add(32, 32, 2);
+    add(32, 32, 2);
+    return p;
+}
+
+// Args: {shape, threads}; see make_conv_problem.
 void
 BM_ConvForwardThreads(benchmark::State& state)
 {
-    const int64_t batch = 32;
-    set_num_threads(static_cast<int>(state.range(0)));
-    Rng rng(3);
-    Conv2d conv("c", 16, 32, 3, 1, 1, rng);
-    Tensor x({batch, 16, 12, 12});
-    x.fill_uniform(rng, -1.0f, 1.0f);
+    set_num_threads(static_cast<int>(state.range(1)));
+    const bool trunk = state.range(0) == 1;
+    ConvProblem p = make_conv_problem(trunk);
     for (auto _ : state) {
-        Tensor y = conv.forward(x, false);
-        benchmark::DoNotOptimize(y.data());
+        for (size_t i = 0; i < p.convs.size(); ++i) {
+            Tensor y = p.convs[i].forward(p.inputs[i], false);
+            benchmark::DoNotOptimize(y.data());
+        }
     }
-    state.SetItemsProcessed(state.iterations() * batch);
+    state.SetItemsProcessed(state.iterations() * p.batch);
+    state.SetLabel(trunk ? "jigsaw trunk convs, 81 tiles"
+                         : "16->32 12x12, batch 32");
     set_num_threads(0);
 }
-BENCHMARK(BM_ConvForwardThreads)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ConvForwardThreads)
+    ->ArgNames({"trunk", "threads"})
+    ->Args({0, 1})
+    ->Args({0, 2})
+    ->Args({0, 4})
+    ->Args({1, 1})
+    ->Args({1, 2})
+    ->Args({1, 4});
 
 // Network::infer, the stateless inference path: one parallel region
-// per call, one image per chunk. Args: {shape, threads}; shape 0 is
+// per call, at most 16 chunks. Args: {shape, threads}; shape 0 is
 // TinyNet at batch 4 (a typical serving batch), shape 1 the jigsaw
 // trunk on 81 tiles (one diagnosis probe of nine images).
 void
@@ -294,28 +339,41 @@ BENCHMARK(BM_InferThreads)
     ->Args({1, 2})
     ->Args({1, 4});
 
+// Args: {shape, threads}; see make_conv_problem.
 void
 BM_ConvBackwardThreads(benchmark::State& state)
 {
-    const int64_t batch = 32;
-    set_num_threads(static_cast<int>(state.range(0)));
-    Rng rng(3);
-    Conv2d conv("c", 16, 32, 3, 1, 1, rng);
-    Tensor x({batch, 16, 12, 12});
-    x.fill_uniform(rng, -1.0f, 1.0f);
-    Tensor y = conv.forward(x, true);
-    Tensor gy(y.shape());
-    gy.fill_uniform(rng, -1.0f, 1.0f);
-    for (auto _ : state) {
-        conv.params()[0]->grad().fill(0.0f);
-        conv.params()[1]->grad().fill(0.0f);
-        Tensor gx = conv.backward(gy);
-        benchmark::DoNotOptimize(gx.data());
+    set_num_threads(static_cast<int>(state.range(1)));
+    const bool trunk = state.range(0) == 1;
+    ConvProblem p = make_conv_problem(trunk);
+    std::vector<Tensor> grads;
+    Rng rng(5);
+    for (size_t i = 0; i < p.convs.size(); ++i) {
+        Tensor gy(p.convs[i].forward(p.inputs[i], true).shape());
+        gy.fill_uniform(rng, -1.0f, 1.0f);
+        grads.push_back(std::move(gy));
     }
-    state.SetItemsProcessed(state.iterations() * batch);
+    for (auto _ : state) {
+        for (size_t i = 0; i < p.convs.size(); ++i) {
+            for (const auto& param : p.convs[i].params())
+                param->grad().fill(0.0f);
+            Tensor gx = p.convs[i].backward(grads[i]);
+            benchmark::DoNotOptimize(gx.data());
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * p.batch);
+    state.SetLabel(trunk ? "jigsaw trunk convs, 81 tiles"
+                         : "16->32 12x12, batch 32");
     set_num_threads(0);
 }
-BENCHMARK(BM_ConvBackwardThreads)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ConvBackwardThreads)
+    ->ArgNames({"trunk", "threads"})
+    ->Args({0, 1})
+    ->Args({0, 2})
+    ->Args({0, 4})
+    ->Args({1, 1})
+    ->Args({1, 2})
+    ->Args({1, 4});
 
 void
 BM_TrainStepThreads(benchmark::State& state)

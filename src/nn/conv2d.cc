@@ -1,6 +1,8 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -56,6 +58,15 @@ Conv2d::geometry(const Tensor& input) const
     return g;
 }
 
+int64_t
+conv_group_images(const ConvGeometry& g, int64_t batch)
+{
+    const int64_t ohw = g.out_h() * g.out_w();
+    return std::clamp<int64_t>(
+        kConvGroupColumns / std::max<int64_t>(1, ohw), 1,
+        std::max<int64_t>(1, batch));
+}
+
 Tensor
 Conv2d::forward(const Tensor& input, bool /*training*/)
 {
@@ -89,26 +100,38 @@ Conv2d::infer(const Tensor& input) const
         "tensor.matmul.calls");
     static auto& mm_flops = obs::MetricsRegistry::global().counter(
         "tensor.matmul.flops");
-    // Batch-parallel: every image owns its output slice, so the
-    // lowering + GEMM + bias of different images are independent (the
-    // nested GEMM runs inline inside a pool worker). The im2col
-    // columns live in the executing thread's workspace arena — no
-    // allocation or zero-fill per image after the first pass.
-    parallel_for(0, batch, 1, [&](int64_t b0, int64_t b1) {
+    // Group-parallel: every group of conv_group_images() consecutive
+    // images owns its output slice, so groups are independent (the
+    // nested GEMM runs inline inside a pool worker). A group is
+    // lowered side by side into one (N*K*K, G*R*C) column matrix Dm
+    // and multiplied once; the columns and the (M, G*R*C) product
+    // live in the executing thread's workspace arena.
+    parallel_for(0, batch, conv_group_images(g, batch),
+                 [&](int64_t b0, int64_t b1) {
+        const int64_t ncols = (b1 - b0) * ohw;
+        Workspace::Scope scope;
+        float* cols = Workspace::local().alloc(ckk * ncols);
+        for (int64_t b = b0; b < b1; ++b)
+            im2col_into(input, b, g, cols + (b - b0) * ohw, ncols);
+        // A one-image group is already NCHW: Om goes straight into
+        // the output slice and the bias is added in place.
+        float* om =
+            b1 - b0 == 1
+                ? po + b0 * out_channels_ * ohw
+                : Workspace::local().alloc(out_channels_ * ncols);
+        mm_calls.add(1);
+        mm_flops.add(2 * out_channels_ * ckk * ncols);
+        // Om = Fm * Dm.
+        gemm(out_channels_, ncols, ckk, fm, ckk, 1, cols, ncols, 1, om,
+             be);
+        // Scatter image b's column block of each row m to (b, m) and
+        // add the bias.
         for (int64_t b = b0; b < b1; ++b) {
-            Workspace::Scope scope;
-            float* cols = Workspace::local().alloc(ckk * ohw);
-            im2col_into(input, b, g, cols); // Dm: (NK^2, R*C)
-            mm_calls.add(1);
-            mm_flops.add(2 * out_channels_ * ckk * ohw);
-            float* dst = po + b * out_channels_ * ohw;
-            // Om = Fm * Dm, written straight into the output slice.
-            gemm(out_channels_, ohw, ckk, fm, ckk, 1, cols, ohw, 1,
-                 dst, be);
             for (int64_t m = 0; m < out_channels_; ++m) {
                 const float bias = pb[m];
-                for (int64_t i = 0; i < ohw; ++i)
-                    dst[m * ohw + i] += bias;
+                const float* src = om + m * ncols + (b - b0) * ohw;
+                float* dst = po + (b * out_channels_ + m) * ohw;
+                for (int64_t i = 0; i < ohw; ++i) dst[i] = src[i] + bias;
             }
         }
     });
@@ -142,49 +165,79 @@ Conv2d::backward(const Tensor& grad_output)
     static auto& tb_calls = reg.counter("tensor.matmul_tb.calls");
     static auto& tb_flops = reg.counter("tensor.matmul_tb.flops");
 
-    // Batch-parallel with ordered reduction: each image writes its
-    // grad_input slice directly (disjoint) and its weight/bias
-    // contributions into a per-image partial; the partials are then
-    // combined serially in batch order — the same summation order as
-    // a serial loop, so results are bit-identical at any thread count.
-    // Column/column-gradient scratch lives in the executing thread's
-    // workspace arena; the per-image gOm is read in place from
-    // grad_output (its row slice is already the (M, R*C) matrix).
+    // Group-parallel with ordered reduction, over the same groups as
+    // the forward. Each group lowers its images once into a
+    // (N*K*K, G*R*C) column matrix. The input gradient is one
+    // Fm^T * gOm product over the whole group, scattered back per
+    // image with a strided col2im into that image's (disjoint)
+    // grad_input slice. The weight and bias gradients stay per
+    // image — each image's dL/dOm * Dm^T reads its column block of
+    // the group matrix through a strided B operand — and the
+    // per-image partials are combined serially in batch order: the
+    // same summation order as a serial loop, so results are
+    // bit-identical at any thread count and any group size. Each
+    // partial is a small tensor allocated by the thread computing it
+    // (one batch-sized block of partials raised the training loop's
+    // peak RSS).
     std::vector<Tensor> gfm_part(static_cast<size_t>(batch));
     Tensor gbias_part = Tensor::uninitialized({batch, out_channels_});
-    parallel_for(0, batch, 1, [&](int64_t b0, int64_t b1) {
-        for (int64_t b = b0; b < b1; ++b) {
-            Workspace::Scope scope;
-            const float* gom =
-                grad_output.data() + b * out_channels_ * ohw;
-            float* cols = Workspace::local().alloc(ckk * ohw);
-            im2col_into(cached_input_, b, g, cols);
+    parallel_for(0, batch, conv_group_images(g, batch),
+                 [&](int64_t b0, int64_t b1) {
+        const int64_t ncols = (b1 - b0) * ohw;
+        Workspace::Scope scope;
+        float* cols = Workspace::local().alloc(ckk * ncols);
+        for (int64_t b = b0; b < b1; ++b)
+            im2col_into(cached_input_, b, g, cols + (b - b0) * ohw,
+                        ncols);
+        // gOm of the group as one (M, G*R*C) matrix; a one-image
+        // group reads its (M, R*C) row slice of grad_output in place.
+        const float* gom =
+            grad_output.data() + b0 * out_channels_ * ohw;
+        if (b1 - b0 > 1) {
+            float* gather =
+                Workspace::local().alloc(out_channels_ * ncols);
+            for (int64_t b = b0; b < b1; ++b)
+                for (int64_t m = 0; m < out_channels_; ++m)
+                    std::memcpy(gather + m * ncols + (b - b0) * ohw,
+                                grad_output.data() +
+                                    (b * out_channels_ + m) * ohw,
+                                static_cast<size_t>(ohw) *
+                                    sizeof(float));
+            gom = gather;
+        }
 
+        for (int64_t b = b0; b < b1; ++b) {
+            const float* gom_img =
+                grad_output.data() + b * out_channels_ * ohw;
             // dL/dFm contribution: dL/dOm * Dm^T.
             tb_calls.add(1);
             tb_flops.add(2 * out_channels_ * ohw * ckk);
             Tensor& part = gfm_part[static_cast<size_t>(b)];
             part = Tensor::uninitialized({out_channels_, ckk});
-            gemm(out_channels_, ckk, ohw, gom, ohw, 1, cols, 1, ohw,
-                 part.data(), be);
-
-            // dL/dDm = Fm^T * dL/dOm, scattered back with col2im.
-            ta_calls.add(1);
-            ta_flops.add(2 * ckk * out_channels_ * ohw);
-            float* gcols = Workspace::local().alloc(ckk * ohw);
-            gemm(ckk, ohw, out_channels_, fm, 1, ckk, gom, ohw, 1,
-                 gcols, be);
-            col2im_accumulate(gcols, grad_input, b, g);
+            gemm(out_channels_, ckk, ohw, gom_img, ohw, 1,
+                 cols + (b - b0) * ohw, 1, ncols, part.data(), be);
 
             // dL/dbias contribution: sum over spatial positions.
             float* brow = gbias_part.data() + b * out_channels_;
             for (int64_t m = 0; m < out_channels_; ++m) {
                 float acc = 0.0f;
-                const float* row = gom + m * ohw;
+                const float* row = gom_img + m * ohw;
                 for (int64_t i = 0; i < ohw; ++i) acc += row[i];
                 brow[m] = acc;
             }
         }
+
+        // dL/dDm = Fm^T * dL/dOm for the whole group, scattered back
+        // with col2im. Dm is dead once the weight gradients have
+        // read it, so dL/dDm overwrites it in place.
+        ta_calls.add(1);
+        ta_flops.add(2 * ckk * out_channels_ * ncols);
+        float* gcols = cols;
+        gemm(ckk, ncols, out_channels_, fm, 1, ckk, gom, ncols, 1, gcols,
+             be);
+        for (int64_t b = b0; b < b1; ++b)
+            col2im_accumulate(gcols + (b - b0) * ohw, grad_input, b, g,
+                              ncols);
     });
     // Serial fold in batch order; (M, N*K*K) partials accumulate
     // straight into the (M, N, K, K) grad — same flat layout.

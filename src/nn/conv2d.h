@@ -3,7 +3,8 @@
  * 2-D convolution layer (square kernels, NCHW).
  *
  * Forward/backward are implemented with the im2col + GEMM lowering of
- * the paper's Fig. 8, per batch element.
+ * the paper's Fig. 8, one GEMM per group of consecutive images (see
+ * conv_group_images()).
  */
 #pragma once
 
@@ -20,6 +21,26 @@ class Rng;
  * duplication (Fig. 8); FPGAs run the direct loop nest (Fig. 9).
  */
 enum class ConvBackend { kIm2col, kDirect };
+
+/**
+ * Output columns the im2col lowering targets per GEMM. The per-image
+ * product of a small feature map (a 2x2 map after pooling is 4
+ * columns) fills a fraction of one register tile and repacks the
+ * filter matrix per image; lowering several images side by side
+ * widens it. The budget caps the group's arena scratch.
+ */
+inline constexpr int64_t kConvGroupColumns = 64;
+
+/**
+ * Images the im2col path lowers into one column matrix and one GEMM:
+ * `kConvGroupColumns / (R*C)`, clamped to [1, batch]. A pure function
+ * of the geometry and the batch — never the thread width — so the
+ * group decomposition is fixed. Results do not depend on it either:
+ * the blocked GEMM gives every output column the same ascending-k
+ * sum whatever the matrix width, so grouped and per-image lowering
+ * are bit-identical.
+ */
+int64_t conv_group_images(const ConvGeometry& geom, int64_t batch);
 
 /** Convolution layer with weight (M,N,K,K) and bias (M). */
 class Conv2d : public Layer {

@@ -1,5 +1,6 @@
 #include "nn/network.h"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <unordered_set>
@@ -13,6 +14,9 @@
 namespace insitu {
 
 namespace {
+
+/// Chunks Network::infer splits a batch into (see there).
+constexpr int64_t kInferChunks = 16;
 
 /**
  * Per-kind layer timing histogram, e.g. `nn.forward.conv.time_s`.
@@ -76,19 +80,27 @@ Network::infer(const Tensor& input) const
     const int64_t batch = input.dim(0);
     if (batch == 0) return run_stack(input);
 
-    // Fixed grain of one image (rule 1): chunk c is image c at every
-    // width, and it writes only parts[c] (rule 2).
-    std::vector<Tensor> parts(static_cast<size_t>(batch));
-    parallel_for_chunks(0, batch, 1,
+    // At most kInferChunks chunks of ceil(batch / kInferChunks)
+    // consecutive images: a pure function of the batch (rule 1), one
+    // image per chunk up to kInferChunks images, and multi-image
+    // chunks beyond so the conv layers get whole groups to lower.
+    // Chunk c writes only parts[c] (rule 2).
+    const int64_t grain = (batch + kInferChunks - 1) / kInferChunks;
+    std::vector<Tensor> parts(
+        static_cast<size_t>(chunk_count(batch, grain)));
+    parallel_for_chunks(0, batch, grain,
                         [&](int64_t c, int64_t b0, int64_t b1) {
         parts[static_cast<size_t>(c)] = run_stack(input.slice0(b0, b1));
     });
     std::vector<int64_t> shape = parts.front().shape();
     shape[0] = batch;
-    Tensor out = Tensor::uninitialized(std::move(shape));
+    Tensor out = Tensor::uninitialized(shape);
     float* dst = out.data();
-    for (const Tensor& part : parts) {
-        INSITU_CHECK(part.same_shape(parts.front()),
+    for (size_t c = 0; c < parts.size(); ++c) {
+        const Tensor& part = parts[c];
+        const int64_t b0 = static_cast<int64_t>(c) * grain;
+        shape[0] = std::min(grain, batch - b0);
+        INSITU_CHECK(part.shape() == shape,
                      "infer: a layer changed the per-image shape");
         if (part.numel() == 0) continue;
         std::memcpy(dst, part.data(),

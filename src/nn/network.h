@@ -50,11 +50,13 @@ class Network {
     /**
      * Stateless inference, bit-identical to forward(input, false) at
      * any thread width. One parallel region per call: the batch is
-     * sliced into one-image chunks and each chunk runs the whole
-     * layer stack (Layer::infer; nested parallel_for calls run
-     * inline), so an image stays in one core's cache and no layer
-     * pays a pool dispatch of its own. Chunk outputs are joined in
-     * chunk order. Use forward() when a backward() follows.
+     * sliced into at most 16 chunks of ceil(batch / 16) consecutive
+     * images (one image per chunk up to 16) and each chunk runs the
+     * whole layer stack (Layer::infer; nested parallel_for calls run
+     * inline), so a chunk stays in one core's cache, no layer pays
+     * a pool dispatch of its own, and conv layers lower whole image
+     * groups. Chunk outputs are joined in chunk order. Use forward()
+     * when a backward() follows.
      */
     Tensor infer(const Tensor& input) const;
 

@@ -86,13 +86,14 @@ im2col(const Tensor& input, int64_t batch_index, const ConvGeometry& g)
 {
     Tensor cols = Tensor::uninitialized(
         {g.in_channels * g.kernel * g.kernel, g.out_h() * g.out_w()});
-    im2col_into(input, batch_index, g, cols.data());
+    im2col_into(input, batch_index, g, cols.data(),
+                g.out_h() * g.out_w());
     return cols;
 }
 
 void
 im2col_into(const Tensor& input, int64_t batch_index,
-            const ConvGeometry& g, float* out)
+            const ConvGeometry& g, float* out, int64_t ld)
 {
     INSITU_CHECK(input.rank() == 4, "im2col expects NCHW input");
     INSITU_CHECK(input.dim(1) == g.in_channels &&
@@ -102,15 +103,15 @@ im2col_into(const Tensor& input, int64_t batch_index,
                  "im2col batch index");
     const int64_t oh = g.out_h(), ow = g.out_w();
     INSITU_CHECK(oh > 0 && ow > 0, "conv output would be empty");
+    INSITU_CHECK(ld >= oh * ow, "im2col row stride below R*C");
     const float* in = input.data() +
                       batch_index * g.in_channels * g.in_h * g.in_w;
-    const int64_t ncols = oh * ow;
     for (int64_t c = 0; c < g.in_channels; ++c) {
         for (int64_t ky = 0; ky < g.kernel; ++ky) {
             for (int64_t kx = 0; kx < g.kernel; ++kx) {
                 const int64_t row =
                     (c * g.kernel + ky) * g.kernel + kx;
-                float* dst = out + row * ncols;
+                float* dst = out + row * ld;
                 for (int64_t y = 0; y < oh; ++y) {
                     const int64_t iy = y * g.stride + ky - g.pad;
                     for (int64_t x = 0; x < ow; ++x) {
@@ -201,25 +202,27 @@ col2im_accumulate(const Tensor& cols, Tensor& grad_input,
                      cols.dim(0) == g.in_channels * g.kernel * g.kernel &&
                      cols.dim(1) == oh * ow,
                  "col2im cols shape mismatch");
-    col2im_accumulate(cols.data(), grad_input, batch_index, g);
+    col2im_accumulate(cols.data(), grad_input, batch_index, g,
+                      oh * ow);
 }
 
 void
 col2im_accumulate(const float* cols, Tensor& grad_input,
-                  int64_t batch_index, const ConvGeometry& g)
+                  int64_t batch_index, const ConvGeometry& g,
+                  int64_t ld)
 {
     INSITU_CHECK(grad_input.rank() == 4, "col2im expects NCHW grad");
     const int64_t oh = g.out_h(), ow = g.out_w();
+    INSITU_CHECK(ld >= oh * ow, "col2im row stride below R*C");
     float* out = grad_input.data() +
                  batch_index * g.in_channels * g.in_h * g.in_w;
     const float* in = cols;
-    const int64_t ncols = oh * ow;
     for (int64_t c = 0; c < g.in_channels; ++c) {
         for (int64_t ky = 0; ky < g.kernel; ++ky) {
             for (int64_t kx = 0; kx < g.kernel; ++kx) {
                 const int64_t row =
                     (c * g.kernel + ky) * g.kernel + kx;
-                const float* src = in + row * ncols;
+                const float* src = in + row * ld;
                 for (int64_t y = 0; y < oh; ++y) {
                     const int64_t iy = y * g.stride + ky - g.pad;
                     if (iy < 0 || iy >= g.in_h) continue;

@@ -59,12 +59,16 @@ Tensor im2col(const Tensor& input, int64_t batch_index,
 
 /**
  * im2col into caller-owned storage (typically a `Workspace` borrow):
- * fully overwrites @p cols, which must hold
- * `geom.in_channels * geom.kernel^2 * geom.out_h() * geom.out_w()`
- * floats. This is the alloc-free path the conv layer runs per image.
+ * writes the image's (C*K*K, R*C) column matrix into @p cols with a
+ * row stride of @p ld floats (`ld >= R*C`; pass `R*C` for a dense
+ * matrix). Row r occupies `cols[r*ld, r*ld + R*C)`; the gaps between
+ * rows are left untouched, so a caller can lower a group of images
+ * side by side — image i at `cols + i*R*C`, `ld = group*R*C` — into
+ * one (C*K*K, group*R*C) matrix. This is the alloc-free path the
+ * conv layer runs.
  */
 void im2col_into(const Tensor& input, int64_t batch_index,
-                 const ConvGeometry& geom, float* cols);
+                 const ConvGeometry& geom, float* cols, int64_t ld);
 
 /**
  * Scatter-add a (C*K*K, R*C) column-gradient matrix back into an image
@@ -73,9 +77,11 @@ void im2col_into(const Tensor& input, int64_t batch_index,
 void col2im_accumulate(const Tensor& cols, Tensor& grad_input,
                        int64_t batch_index, const ConvGeometry& geom);
 
-/** col2im from caller-owned column storage (layout as im2col_into). */
+/** col2im from caller-owned column storage with row stride @p ld
+ * (layout as im2col_into). */
 void col2im_accumulate(const float* cols, Tensor& grad_input,
-                       int64_t batch_index, const ConvGeometry& geom);
+                       int64_t batch_index, const ConvGeometry& geom,
+                       int64_t ld);
 
 /**
  * Direct convolution forward (no im2col, no data duplication) — the

@@ -42,7 +42,7 @@ Workspace::local()
 
 Workspace::~Workspace()
 {
-    for (float* p : overflow_) aligned_delete(p);
+    for (const auto& block : overflow_) aligned_delete(block.first);
     aligned_delete(base_);
 }
 
@@ -54,16 +54,19 @@ Workspace::alloc(int64_t nfloats)
     if (top_ + n <= cap_) {
         float* p = base_ + top_;
         top_ += n;
-        high_ = std::max(high_, top_);
+        high_ = std::max(high_, top_ + overflow_live_);
         return p;
     }
     // Backing block exhausted: take a dedicated block and remember
-    // how big the frame really was, so the close of the outermost
-    // scope regrows base_ and the next pass stays on the fast path.
+    // how big the frame really was — every live overflow block
+    // counts, since all of them must fit in base_ at once — so the
+    // close of the outermost scope regrows base_ and the next pass
+    // stays on the fast path.
     float* p = aligned_new(std::max<size_t>(n, 1));
-    overflow_.push_back(p);
+    overflow_.emplace_back(p, n);
+    overflow_live_ += n;
     ++overflow_allocs_;
-    high_ = std::max(high_, top_ + n);
+    high_ = std::max(high_, top_ + overflow_live_);
     return p;
 }
 
@@ -76,7 +79,8 @@ Workspace::Scope::Scope()
 Workspace::Scope::~Scope()
 {
     while (ws_.overflow_.size() > saved_overflow_) {
-        aligned_delete(ws_.overflow_.back());
+        aligned_delete(ws_.overflow_.back().first);
+        ws_.overflow_live_ -= ws_.overflow_.back().second;
         ws_.overflow_.pop_back();
     }
     ws_.top_ = saved_top_;

@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace insitu {
@@ -105,8 +106,10 @@ class Workspace {
     float* base_ = nullptr;   ///< reusable backing block
     size_t cap_ = 0;          ///< capacity of base_, in floats
     size_t top_ = 0;          ///< bump offset into base_, in floats
-    size_t high_ = 0;         ///< high-water of top_ + overflow sizes
-    std::vector<float*> overflow_; ///< blocks taken when base_ was full
+    size_t high_ = 0;         ///< high-water of top_ + overflow_live_
+    /// Blocks taken when base_ was full, with their sizes in floats.
+    std::vector<std::pair<float*, size_t>> overflow_;
+    size_t overflow_live_ = 0; ///< floats held in overflow_ blocks
     int64_t overflow_allocs_ = 0;
 };
 

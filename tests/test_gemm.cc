@@ -1,7 +1,8 @@
 /**
  * @file
- * The blocked GEMM against the naive reference, the workspace arena,
- * and the exact FLOP accounting contract.
+ * The blocked GEMM against the naive reference, the workspace arena
+ * (including under the grouped conv lowering), and the exact FLOP
+ * accounting contract.
  *
  * The shape sweep runs every m,k,n in {1,2,3,5,8,13,32,64} — prime,
  * power-of-two, and sub-microkernel sizes — through all three
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/conv2d.h"
 #include "obs/metrics.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -279,15 +281,44 @@ TEST(WorkspaceArena, ConvPathReusesArena)
     {
         Workspace::Scope scope;
         float* buf = ws.alloc(static_cast<int64_t>(cols.size()));
-        im2col_into(x, 0, g, buf);
+        im2col_into(x, 0, g, buf, 12 * 12);
     }
     const int64_t overflow0 = ws.overflow_allocs();
     for (int64_t b = 0; b < 4; ++b) {
         Workspace::Scope scope;
         float* buf = ws.alloc(static_cast<int64_t>(cols.size()));
-        im2col_into(x, b, g, buf);
+        im2col_into(x, b, g, buf, 12 * 12);
     }
     EXPECT_EQ(ws.overflow_allocs(), overflow0);
+}
+
+// The grouped Conv2d lowering keeps a group's columns, product, gOm
+// gather and column gradient in the arena at once. After one warm
+// forward+backward the arena has grown to that high-water mark, so a
+// second pass at the same shape must not overflow again.
+TEST(WorkspaceArena, GroupedConvPassReusesArena)
+{
+    set_num_threads(1); // every borrow lands in this thread's arena
+    Rng rng(4);
+    // 2x2 maps: a 16-image group at the 64-column budget, plus a
+    // ragged tail group.
+    Conv2d conv("conv", 24, 32, 3, 1, 1, rng);
+    Tensor x({21, 24, 2, 2});
+    x.fill_uniform(rng, -1.0f, 1.0f);
+    Tensor gy({21, 32, 2, 2});
+    gy.fill_uniform(rng, -1.0f, 1.0f);
+    ASSERT_GT(conv_group_images(ConvGeometry{24, 2, 2, 3, 1, 1}, 21),
+              1);
+    auto pass = [&] {
+        (void)conv.forward(x, /*training=*/true);
+        (void)conv.backward(gy);
+    };
+    auto& ws = Workspace::local();
+    pass();
+    const int64_t overflow0 = ws.overflow_allocs();
+    pass();
+    EXPECT_EQ(ws.overflow_allocs(), overflow0);
+    set_num_threads(0);
 }
 
 // --- uninitialized tensors ----------------------------------------

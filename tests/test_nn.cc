@@ -25,6 +25,8 @@
 #include "nn/serialize.h"
 #include "nn/trainer.h"
 #include "selfsup/relative.h"
+#include "tensor/gemm.h"
+#include "tensor/ops.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -464,9 +466,10 @@ expect_bit_identical(const Tensor& got, const Tensor& want,
 }
 
 /// Batches and widths every infer test sweeps: a single image, an odd
-/// batch, a full default batch, and nine images' worth of jigsaw
-/// tiles; serial and the 4-wide pool.
-constexpr int64_t kInferBatches[] = {1, 3, 32, 81};
+/// batch, both sides of Network::infer's 16-chunk boundaries (15, 16,
+/// 17 and 33 images), a full default batch, and nine images' worth of
+/// jigsaw tiles; serial and the 4-wide pool.
+constexpr int64_t kInferBatches[] = {1, 3, 15, 16, 17, 32, 33, 81};
 constexpr int kInferWidths[] = {1, 4};
 
 /// One network per layer kind, each with its per-image input shape.
@@ -692,6 +695,127 @@ TEST(Infer, PredictAndDiagnoseMatchForwardReference)
         DiagnosisTask diagnosis = make_diagnosis();
         EXPECT_EQ(diagnosis.diagnose(images, kBatch), want_flags)
             << "width " << width;
+    }
+    set_num_threads(0);
+}
+
+// --- grouped conv lowering ----------------------------------------
+
+/// Conv2d's outputs and gradients, computed the per-image way: one
+/// im2col_into + gemm per image for the forward, the input gradient
+/// and the weight gradient, partials folded in batch order.
+struct ConvResult {
+    Tensor out, grad_input, grad_weight, grad_bias;
+};
+
+ConvResult
+per_image_conv_reference(const Conv2d& conv, const Tensor& x,
+                         const Tensor& gy)
+{
+    ConvGeometry g;
+    g.in_channels = conv.in_channels();
+    g.in_h = x.dim(2);
+    g.in_w = x.dim(3);
+    g.kernel = conv.kernel();
+    g.stride = conv.stride();
+    g.pad = conv.pad();
+    const int64_t batch = x.dim(0), m = conv.out_channels();
+    const int64_t ohw = g.out_h() * g.out_w();
+    const int64_t ckk = g.in_channels * g.kernel * g.kernel;
+    const float* fm = conv.weight()->value().data();
+    const float* bias = conv.bias()->value().data();
+    const GemmBackend be = gemm_backend();
+    ConvResult r{Tensor({batch, m, g.out_h(), g.out_w()}),
+                 Tensor(x.shape()), Tensor({m, ckk}), Tensor({m})};
+    Tensor cols({ckk, ohw}), gcols({ckk, ohw}), part({m, ckk});
+    for (int64_t b = 0; b < batch; ++b) {
+        im2col_into(x, b, g, cols.data(), ohw);
+        float* dst = r.out.data() + b * m * ohw;
+        gemm(m, ohw, ckk, fm, ckk, 1, cols.data(), ohw, 1, dst, be);
+        for (int64_t f = 0; f < m; ++f)
+            for (int64_t i = 0; i < ohw; ++i) dst[f * ohw + i] += bias[f];
+
+        const float* gom = gy.data() + b * m * ohw;
+        gemm(m, ckk, ohw, gom, ohw, 1, cols.data(), 1, ohw, part.data(),
+             be);
+        for (int64_t i = 0; i < m * ckk; ++i)
+            r.grad_weight.data()[i] += part.data()[i];
+        for (int64_t f = 0; f < m; ++f) {
+            float acc = 0.0f;
+            for (int64_t i = 0; i < ohw; ++i) acc += gom[f * ohw + i];
+            r.grad_bias.data()[f] += acc;
+        }
+        gemm(ckk, ohw, m, fm, 1, ckk, gom, ohw, 1, gcols.data(), be);
+        col2im_accumulate(gcols.data(), r.grad_input, b, g, ohw);
+    }
+    return r;
+}
+
+TEST(Conv2dGrouped, BitIdenticalToPerImageLowering)
+{
+    struct GeomCase {
+        std::string label;
+        int64_t in_c, out_c, kernel, stride, pad, hw;
+    };
+    const GeomCase geoms[] = {
+        {"8x8 tile", 3, 16, 3, 1, 1, 8},
+        {"2x2 after pooling", 32, 32, 3, 1, 1, 2},
+        {"24x24", 3, 16, 3, 1, 1, 24},
+        {"stride 2 pad 0", 4, 6, 3, 2, 0, 9},
+    };
+    Rng rng(37);
+    for (const GeomCase& gc : geoms) {
+        Conv2d conv("conv", gc.in_c, gc.out_c, gc.kernel, gc.stride,
+                    gc.pad, rng);
+        conv.bias()->value().fill_uniform(rng, -0.5f, 0.5f);
+        const ConvGeometry geom{gc.in_c, gc.hw, gc.hw, gc.kernel,
+                                gc.stride, gc.pad};
+        const int64_t group = conv_group_images(geom, 1 << 20);
+        std::vector<int64_t> batches = {1, group - 1, group, group + 1,
+                                        81};
+        std::erase_if(batches, [](int64_t b) { return b < 1; });
+        for (const int64_t batch : batches) {
+            const Tensor x = random_batch(batch, {gc.in_c, gc.hw, gc.hw},
+                                          rng);
+            const Tensor gy = random_batch(
+                batch, {gc.out_c, geom.out_h(), geom.out_w()}, rng);
+            const ConvResult want = per_image_conv_reference(conv, x, gy);
+            for (const int width : kInferWidths) {
+                set_num_threads(width);
+                const std::string what =
+                    gc.label + " (group " + std::to_string(group) +
+                    ") batch " + std::to_string(batch) + " width " +
+                    std::to_string(width);
+                for (const auto& p : conv.params()) p->zero_grad();
+                expect_bit_identical(conv.forward(x, true), want.out,
+                                     what + " forward");
+                expect_bit_identical(conv.infer(x), want.out,
+                                     what + " infer");
+                expect_bit_identical(conv.backward(gy), want.grad_input,
+                                     what + " grad_input");
+                expect_bit_identical(conv.weight()->grad(),
+                                     want.grad_weight.reshape(
+                                         conv.weight()->grad().shape()),
+                                     what + " weight grad");
+                expect_bit_identical(conv.bias()->grad(), want.grad_bias,
+                                     what + " bias grad");
+            }
+        }
+    }
+    set_num_threads(0);
+}
+
+TEST(Conv2dGrouped, GroupSizeIsAPureFunctionOfGeometryAndBatch)
+{
+    ConvGeometry g{32, 2, 2, 3, 1, 1}; // 2x2 out: 4 columns per image
+    EXPECT_EQ(conv_group_images(g, 81), kConvGroupColumns / 4);
+    EXPECT_EQ(conv_group_images(g, 3), 3);  // clamped to the batch
+    EXPECT_EQ(conv_group_images(g, 0), 1);
+    g.in_h = g.in_w = 24; // 576 columns: wider than the budget
+    EXPECT_EQ(conv_group_images(g, 81), 1);
+    for (const int width : kInferWidths) {
+        set_num_threads(width);
+        EXPECT_EQ(conv_group_images(g, 81), 1);
     }
     set_num_threads(0);
 }

@@ -569,7 +569,7 @@ TEST(Flight, RingWrapsExactlyAtCapacity)
     obs::FlightRecorder fr(4);
     for (int i = 0; i < 4; ++i)
         fr.record(static_cast<double>(i),
-                  "e" + std::to_string(i), "d");
+                  std::string("e").append(std::to_string(i)), "d");
     // Exactly at capacity: nothing evicted yet.
     EXPECT_EQ(fr.size(), 4u);
     EXPECT_EQ(fr.total(), 4);

@@ -251,8 +251,9 @@ TEST_P(UtilizationSweep, BothModelsStayInUnitInterval)
         EXPECT_GT(u, 0.0);
         EXPECT_LE(u, 1.0);
         // Eq (4) is exactly 1 when the dims divide the unroll.
-        if (n % e.tn == 0 && m % e.tm == 0)
+        if (n % e.tn == 0 && m % e.tm == 0) {
             EXPECT_DOUBLE_EQ(u, 1.0);
+        }
     }
 }
 
@@ -329,8 +330,9 @@ TEST_P(PlannerSweep, SingleRunningPickRespectsBudgetWhenPossible)
     for (const NetworkDesc& net : {alexnet_desc(), tinynet_desc()}) {
         const int64_t b = planner.max_batch_under_latency(net, req);
         EXPECT_GE(b, 1);
-        if (gpu.network_latency(net, 1) <= req)
+        if (gpu.network_latency(net, 1) <= req) {
             EXPECT_LE(gpu.network_latency(net, b), req);
+        }
     }
 }
 
@@ -363,7 +365,9 @@ TEST_P(PermutationSweep, ValidDistinctAndSpread)
     EXPECT_EQ(set.size(), GetParam());
     for (int i = 0; i < set.size(); ++i)
         EXPECT_TRUE(PermutationSet::is_valid(set.perm(i)));
-    if (set.size() > 1) EXPECT_GE(set.min_hamming_distance(), 3);
+    if (set.size() > 1) {
+        EXPECT_GE(set.min_hamming_distance(), 3);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PermutationSweep,

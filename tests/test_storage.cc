@@ -133,7 +133,9 @@ TEST(Wal, ScanAcceptsExactlyTheCommittedPrefixAtEveryCut)
         if (cut < 8) {
             // Inside the header: nothing recoverable.
             EXPECT_TRUE(rec.records.empty()) << "cut " << cut;
-            if (cut > 0) EXPECT_FALSE(rec.header_ok) << "cut " << cut;
+            if (cut > 0) {
+                EXPECT_FALSE(rec.header_ok) << "cut " << cut;
+            }
             continue;
         }
         EXPECT_TRUE(rec.header_ok) << "cut " << cut;
