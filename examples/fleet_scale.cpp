@@ -7,9 +7,9 @@
  *
  * Determinism contract: the transcript file and the flight dump
  * (INSITU_FLIGHT_DUMP=<path>) are pure functions of the configuration
- * — scripts/check_fleet_scale.sh byte-diffs both across
- * INSITU_THREADS=1 vs 4. Timing lines go to stdout only and are never
- * part of the diffed artifacts.
+ * — the check_fleet_scale ctest (scripts/check_determinism.py)
+ * byte-diffs both across INSITU_THREADS=1 vs 4. Timing lines go to
+ * stdout only and are left out of its stdout diff.
  *
  * Examples:
  *   fleet_scale --nodes 100000 --stages 6 --chaos \

@@ -593,8 +593,8 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
         // of deploying it fleet-wide. The judgment baseline is this
         // stage's healthy-fleet mean (all healthy nodes still run the
         // pre-update model here).
-        if (supervisor_ && supervisor_->config().canary_enabled &&
-            !vr.rolled_back && vr.accepted_version != 0) {
+        if (supervisor_ && !vr.rolled_back &&
+            vr.accepted_version != 0) {
             std::vector<int> canaries = supervisor_->pick_canaries();
             if (!canaries.empty()) {
                 double base_acc = 0, base_flag = 0;

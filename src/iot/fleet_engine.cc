@@ -99,13 +99,10 @@ ScaleFleetConfig::validated() const
                      permille_ok(drop_permille) &&
                      permille_ok(poison_permille),
                  "permille knobs live in [0, 1000]");
-    INSITU_CHECK(quarantine.crash_threshold >= 1,
-                 "quarantine threshold must be positive");
-    INSITU_CHECK(quarantine.window_stages >= 1 &&
-                     quarantine.window_stages <= 8,
+    quarantine.validated();
+    canary.validated();
+    INSITU_CHECK(quarantine.window_stages <= 8,
                  "the crash window is tracked in 8 bits");
-    INSITU_CHECK(quarantine.readmit_after >= 1,
-                 "readmission needs at least one clean stage");
     INSITU_CHECK(quality_tolerance_ppm >= 0,
                  "negative validation tolerance");
     return *this;
@@ -283,7 +280,7 @@ ScaleFleetEngine::process_capture(Shard& shard, ScaleNode& node,
                               static_cast<uint8_t>(
                                   FleetEventKind::kReboot),
                               0, node.seq++});
-        if (config_.supervise && !(node.state & kQuarantined)) {
+        if (!(node.state & kQuarantined)) {
             const unsigned mask =
                 (1u << config_.quarantine.window_stages) - 1;
             const int faults = __builtin_popcount(
@@ -389,7 +386,6 @@ ScaleFleetEngine::process_drain(Shard& shard, ScaleNode& node,
 void
 ScaleFleetEngine::sweep_quarantine(Shard& shard)
 {
-    if (!config_.supervise) return;
     size_t kept = 0;
     for (size_t q = 0; q < shard.quarantined.size(); ++q) {
         const uint32_t id = shard.quarantined[q];
@@ -644,8 +640,7 @@ ScaleFleetEngine::run_cloud_phase(const CloudShardTotals& totals,
                       std::string(tag) +
                           " version=" + std::to_string(committed) +
                           " q=" + std::to_string(candidate));
-    if (config_.supervise && config_.canary.canary_nodes > 0 &&
-        config_.nodes >= 2) {
+    if (config_.nodes >= 2) {
         start_canary(committed, candidate, report);
     } else {
         version_ = committed;

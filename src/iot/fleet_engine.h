@@ -37,7 +37,8 @@
  * The transcript (one merged stage line plus one digest line per
  * shard, all emitted serially) and the flight-recorder ring are byte
  * identical at any `INSITU_THREADS`, including under chaos — the
- * check_fleet_scale.sh ctest gate byte-diffs both at widths 1 vs 4.
+ * check_fleet_scale ctest (scripts/check_determinism.py) byte-diffs
+ * both at widths 1 vs 4.
  *
  * Zero hot-path allocations: every heap, outbox and quarantine list
  * is preallocated at construction; `hot_allocs()` counts capacity
@@ -115,8 +116,6 @@ struct ScaleFleetConfig {
     int32_t drop_permille = 0;   ///< per drain-batch link-loss probability
     int32_t poison_permille = 0; ///< per stage poisoned-pool probability
 
-    /// Enable quarantine + canary supervision.
-    bool supervise = true;
     QuarantineConfig quarantine;
     CanaryConfig canary;
     /// Validation gate: a candidate may lag the deployed quality by at

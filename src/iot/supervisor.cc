@@ -132,20 +132,31 @@ CircuitBreaker::restore(const Snapshot& snap)
     probes_ = snap.probes;
 }
 
+const QuarantineConfig&
+QuarantineConfig::validated() const
+{
+    INSITU_CHECK(crash_threshold >= 1,
+                 "quarantine threshold must be positive");
+    INSITU_CHECK(window_stages >= 1,
+                 "quarantine window must be positive");
+    INSITU_CHECK(readmit_after >= 1, "readmit streak must be positive");
+    return *this;
+}
+
+const CanaryConfig&
+CanaryConfig::validated() const
+{
+    INSITU_CHECK(canary_nodes >= 1, "canary subset must be positive");
+    INSITU_CHECK(accuracy_tolerance >= 0 && flag_rate_tolerance >= 0,
+                 "canary tolerances must be non-negative");
+    return *this;
+}
+
 const SupervisorConfig&
 SupervisorConfig::validated() const
 {
-    INSITU_CHECK(quarantine.crash_threshold >= 1,
-                 "quarantine threshold must be positive");
-    INSITU_CHECK(quarantine.window_stages >= 1,
-                 "quarantine window must be positive");
-    INSITU_CHECK(quarantine.readmit_after >= 1,
-                 "readmit streak must be positive");
-    INSITU_CHECK(canary.canary_nodes >= 1,
-                 "canary subset must be positive");
-    INSITU_CHECK(canary.accuracy_tolerance >= 0 &&
-                     canary.flag_rate_tolerance >= 0,
-                 "canary tolerances must be non-negative");
+    quarantine.validated();
+    canary.validated();
     return *this;
 }
 

@@ -135,6 +135,9 @@ struct QuarantineConfig {
     /// Consecutive fault-free stages a quarantined node must show
     /// before it is re-admitted.
     int readmit_after = 2;
+
+    /** Fatal-checks internal consistency; returns *this. */
+    const QuarantineConfig& validated() const;
 };
 
 /** Knobs of the canary rollout protocol. */
@@ -148,6 +151,9 @@ struct CanaryConfig {
     /// Canary mean flag rate may exceed the control group's by this
     /// much and still promote.
     double flag_rate_tolerance = 0.15;
+
+    /** Fatal-checks internal consistency; returns *this. */
+    const CanaryConfig& validated() const;
 };
 
 /** Configuration of the whole supervision layer. */
@@ -155,10 +161,6 @@ struct SupervisorConfig {
     BreakerConfig breaker;
     QuarantineConfig quarantine;
     CanaryConfig canary;
-    /// Canary rollout can be disabled independently (breakers and
-    /// quarantine stay active); updates then deploy fleet-wide as
-    /// before.
-    bool canary_enabled = true;
 
     /** Fatal-checks internal consistency; returns *this. */
     const SupervisorConfig& validated() const;

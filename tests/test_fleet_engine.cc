@@ -216,6 +216,23 @@ TEST(FleetEngine, QuarantineAndReadmission)
     EXPECT_GT(readmissions, 0);
 }
 
+TEST(FleetEngine, ConfigSharesTheSupervisorChecks)
+{
+    // Quarantine and canary knobs are checked by the same code as
+    // FleetSupervisor's, so canary_nodes = 0 is no hidden off-switch.
+    ScaleFleetConfig no_canary;
+    no_canary.canary.canary_nodes = 0;
+    EXPECT_DEATH(no_canary.validated(), "canary subset must be positive");
+    ScaleFleetConfig no_window;
+    no_window.quarantine.window_stages = 0;
+    EXPECT_DEATH(no_window.validated(),
+                 "quarantine window must be positive");
+    // The engine's own bound on top: the window lives in 8 bits.
+    ScaleFleetConfig wide_window;
+    wide_window.quarantine.window_stages = 9;
+    EXPECT_DEATH(wide_window.validated(), "tracked in 8 bits");
+}
+
 TEST(FleetEngine, CanaryPromotesHealthyUpdate)
 {
     ScaleFleetConfig config;
