@@ -117,14 +117,14 @@ else
     done
 fi
 
-# --- 5. the device gray-failure recovery rows stay documented -------
+# --- 5. recovery rows and the shared supervision policy documented --
 rob="$root/docs/robustness.md"
 if [ ! -f "$rob" ]; then
     note "missing docs/robustness.md"
     fail=1
 else
     for needle in 'Recovery matrix' 'thermal throttle' 'jitter storm' \
-            'transient stall' '0xDE71CE'; do
+            'transient stall' '0xDE71CE' 'close_stage'; do
         if ! grep -qiF "$needle" "$rob"; then
             note "docs/robustness.md does not mention $needle"
             fail=1

@@ -55,18 +55,6 @@ constexpr uint64_t kCanarySalt = 0xCA7AULL << 32; ///< canary scan start
 
 } // namespace
 
-const char*
-fleet_event_kind_name(FleetEventKind kind)
-{
-    switch (kind) {
-    case FleetEventKind::kReboot: return "reboot";
-    case FleetEventKind::kCapture: return "capture";
-    case FleetEventKind::kDrain: return "drain";
-    case FleetEventKind::kStageEnd: return "stage_end";
-    }
-    return "?";
-}
-
 bool
 fleet_event_before(const FleetEvent& a, const FleetEvent& b)
 {
@@ -101,8 +89,6 @@ ScaleFleetConfig::validated() const
                  "permille knobs live in [0, 1000]");
     quarantine.validated();
     canary.validated();
-    INSITU_CHECK(quarantine.window_stages <= 8,
-                 "the crash window is tracked in 8 bits");
     INSITU_CHECK(quality_tolerance_ppm >= 0,
                  "negative validation tolerance");
     return *this;
@@ -153,9 +139,6 @@ ScaleFleetEngine::ScaleFleetEngine(ScaleFleetConfig config)
         shard.outbox.assign(
             static_cast<size_t>(config_.cloud_shards),
             CloudShardTotals{});
-        shard.quarantined.reserve(static_cast<size_t>(owned));
-        shard.newly_quarantined.reserve(static_cast<size_t>(owned));
-        shard.readmitted.reserve(static_cast<size_t>(owned));
     }
 
     quality_ppm_ = kGenesisQualityPpm;
@@ -194,18 +177,18 @@ ScaleFleetEngine::run_shard_stage(Shard& shard, double t0)
     shard.crashes = 0;
     shard.excluded = 0;
     shard.backlog = 0;
+    shard.quarantined = 0;
+    shard.newly_quarantined = 0;
+    shard.readmitted = 0;
     shard.hot_allocs = 0;
     shard.digest = kFnvOffset;
-    shard.newly_quarantined.clear();
-    shard.readmitted.clear();
 
-    // Stage tick: advance every owned node's sliding fault window and
-    // schedule its capture at a jittered offset. Bulk-append then one
-    // make_heap — O(n) against n pushes of O(log n).
+    // Stage tick: schedule every owned node's capture at a jittered
+    // offset. Bulk-append then one make_heap — O(n) against n pushes
+    // of O(log n).
     const double jitter_unit = config_.stage_window_s / 1024.0;
     for (int64_t i = shard.begin; i < shard.end; ++i) {
         ScaleNode& node = nodes_[static_cast<size_t>(i)];
-        node.crash_bits = static_cast<uint8_t>(node.crash_bits << 1);
         const uint32_t id = static_cast<uint32_t>(i);
         const double jitter =
             static_cast<double>(node_draw(node, id) % 512) *
@@ -247,14 +230,20 @@ ScaleFleetEngine::run_shard_stage(Shard& shard, double t0)
         case FleetEventKind::kDrain:
             process_drain(shard, node, event.node, event);
             break;
-        case FleetEventKind::kStageEnd:
-            break;
         }
     }
 
-    sweep_quarantine(shard);
-    for (int64_t i = shard.begin; i < shard.end; ++i)
-        shard.backlog += nodes_[static_cast<size_t>(i)].backlog;
+    // Stage close. A node still down crashed this stage: its reboot
+    // lands exactly at window_end, which the drain loop stops before.
+    for (int64_t i = shard.begin; i < shard.end; ++i) {
+        ScaleNode& node = nodes_[static_cast<size_t>(i)];
+        const QuarantineTransition t = close_stage(
+            config_.quarantine, node.quarantine, (node.state & kDown) != 0);
+        shard.newly_quarantined += t == QuarantineTransition::kQuarantined;
+        shard.readmitted += t == QuarantineTransition::kReadmitted;
+        shard.quarantined += node.quarantine.quarantined;
+        shard.backlog += node.backlog;
+    }
 }
 
 void
@@ -271,7 +260,6 @@ ScaleFleetEngine::process_capture(Shard& shard, ScaleNode& node,
         shard.lost_in_crash += node.backlog;
         node.backlog = 0;
         node.state |= kDown;
-        node.crash_bits |= 1;
         // The reboot lands exactly at the next stage boundary — the
         // comparator's kReboot < kCapture tie-break is what lets it
         // precede that stage's capture at the same instant.
@@ -280,28 +268,13 @@ ScaleFleetEngine::process_capture(Shard& shard, ScaleNode& node,
                               static_cast<uint8_t>(
                                   FleetEventKind::kReboot),
                               0, node.seq++});
-        if (!(node.state & kQuarantined)) {
-            const unsigned mask =
-                (1u << config_.quarantine.window_stages) - 1;
-            const int faults = __builtin_popcount(
-                static_cast<unsigned>(node.crash_bits) & mask);
-            if (faults >= config_.quarantine.crash_threshold) {
-                node.state |= kQuarantined;
-                node.clean_stages = 0;
-                if (shard.quarantined.size() ==
-                    shard.quarantined.capacity())
-                    ++shard.hot_allocs;
-                shard.quarantined.push_back(id);
-                shard.newly_quarantined.push_back(id);
-            }
-        }
         return;
     }
 
     // Lazy deploy: adopt the shard watermark (canaries: the candidate
     // under evaluation). Quarantined nodes hold their version —
     // redeploys are suspended until readmission.
-    if (!(node.state & kQuarantined)) {
+    if (!node.quarantine.quarantined) {
         node.version = static_cast<uint32_t>(
             (node.state & kCanary) ? canary_version_
                                    : shard.deployed_version);
@@ -359,7 +332,7 @@ ScaleFleetEngine::process_drain(Shard& shard, ScaleNode& node,
                 static_cast<uint64_t>(config_.drop_permille);
         if (lost) {
             shard.dropped += batch;
-        } else if (node.state & kQuarantined) {
+        } else if (node.quarantine.quarantined) {
             shard.excluded += batch;
         } else {
             shard.delivered += batch;
@@ -381,27 +354,6 @@ ScaleFleetEngine::process_drain(Shard& shard, ScaleNode& node,
                                   FleetEventKind::kDrain),
                               0, node.seq++});
     }
-}
-
-void
-ScaleFleetEngine::sweep_quarantine(Shard& shard)
-{
-    size_t kept = 0;
-    for (size_t q = 0; q < shard.quarantined.size(); ++q) {
-        const uint32_t id = shard.quarantined[q];
-        ScaleNode& node = nodes_[id];
-        if (node.crash_bits & 1) {
-            node.clean_stages = 0;
-        } else if (++node.clean_stages >=
-                   config_.quarantine.readmit_after) {
-            node.state &= static_cast<uint8_t>(~kQuarantined);
-            node.clean_stages = 0;
-            shard.readmitted.push_back(id);
-            continue;
-        }
-        shard.quarantined[kept++] = id;
-    }
-    shard.quarantined.resize(kept);
 }
 
 void
@@ -438,12 +390,9 @@ ScaleFleetEngine::run_stage()
         report.crashes += shard.crashes;
         report.backlog += shard.backlog;
         report.excluded += shard.excluded;
-        report.quarantined +=
-            static_cast<int64_t>(shard.quarantined.size());
-        report.newly_quarantined +=
-            static_cast<int64_t>(shard.newly_quarantined.size());
-        report.readmitted +=
-            static_cast<int64_t>(shard.readmitted.size());
+        report.quarantined += shard.quarantined;
+        report.newly_quarantined += shard.newly_quarantined;
+        report.readmitted += shard.readmitted;
         stage_hot += shard.hot_allocs;
     }
     hot_allocs_total_ += stage_hot;
@@ -548,16 +497,14 @@ ScaleFleetEngine::judge_canary(ScaleStageReport& report)
         noise_sum +=
             static_cast<int64_t>(node_draw(node, id) % 20001) - 10000;
     }
-    const int64_t mean_noise =
-        canary_nodes_.empty()
-            ? 0
-            : noise_sum / static_cast<int64_t>(canary_nodes_.size());
-    const int64_t canary_mean = canary_quality_ppm_ + mean_noise;
-    const int64_t tolerance = static_cast<int64_t>(
-        std::llround(config_.canary.accuracy_tolerance * kPpm));
+    const int64_t canary_mean =
+        canary_quality_ppm_ +
+        noise_sum / static_cast<int64_t>(canary_nodes_.size());
     const double t_end = clock_s_ + config_.stage_window_s;
     report.canary_judged_version = canary_version_;
-    if (canary_mean + tolerance >= quality_ppm_) {
+    // Flag rates are not modeled here: both sides read 0.
+    if (canary_promotes(config_.canary, {canary_mean, 0},
+                        {quality_ppm_, 0})) {
         version_ = canary_version_;
         quality_ppm_ = canary_quality_ppm_;
         deploy_all(version_);
@@ -578,9 +525,7 @@ ScaleFleetEngine::judge_canary(ScaleStageReport& report)
             fleet_counter("fleet.shard.canary_rollbacks");
         rollbacks.add(1);
     }
-    clear_canary_flags();
-    canary_pending_ = false;
-    canary_nodes_.clear();
+    end_canary();
 }
 
 void
@@ -640,13 +585,7 @@ ScaleFleetEngine::run_cloud_phase(const CloudShardTotals& totals,
                       std::string(tag) +
                           " version=" + std::to_string(committed) +
                           " q=" + std::to_string(candidate));
-    if (config_.nodes >= 2) {
-        start_canary(committed, candidate, report);
-    } else {
-        version_ = committed;
-        quality_ppm_ = candidate;
-        deploy_all(committed);
-    }
+    start_canary(committed, candidate, report);
 }
 
 void
@@ -670,13 +609,14 @@ ScaleFleetEngine::start_canary(int64_t candidate_version,
             (scan_start + static_cast<uint64_t>(step)) %
             static_cast<uint64_t>(n));
         ScaleNode& node = nodes_[id];
-        if (node.state & (kDown | kQuarantined)) continue;
+        if ((node.state & kDown) || node.quarantine.quarantined)
+            continue;
         node.state |= kCanary;
         canary_nodes_.push_back(id);
     }
     if (canary_nodes_.empty()) {
-        // No healthy canary candidate: deploy fleet-wide (the
-        // FleetSupervisor fallback for the same situation).
+        // No healthy canary candidate, or a one-node fleet with no
+        // control: deploy fleet-wide (the FleetSupervisor fallback).
         version_ = candidate_version;
         quality_ppm_ = candidate_quality_ppm;
         deploy_all(candidate_version);
@@ -685,7 +625,6 @@ ScaleFleetEngine::start_canary(int64_t candidate_version,
     canary_pending_ = true;
     canary_version_ = candidate_version;
     canary_quality_ppm_ = candidate_quality_ppm;
-    canary_baseline_version_ = version_;
     report.canary_started = true;
     black_box_.record(
         clock_s_ + config_.stage_window_s, "fleet.canary.start",
@@ -696,10 +635,12 @@ ScaleFleetEngine::start_canary(int64_t candidate_version,
 }
 
 void
-ScaleFleetEngine::clear_canary_flags()
+ScaleFleetEngine::end_canary()
 {
     for (const uint32_t id : canary_nodes_)
         nodes_[id].state &= static_cast<uint8_t>(~kCanary);
+    canary_nodes_.clear();
+    canary_pending_ = false;
 }
 
 int64_t
@@ -712,8 +653,7 @@ int64_t
 ScaleFleetEngine::quarantined_nodes() const
 {
     int64_t total = 0;
-    for (const auto& shard : shards_)
-        total += static_cast<int64_t>(shard.quarantined.size());
+    for (const auto& shard : shards_) total += shard.quarantined;
     return total;
 }
 
@@ -727,11 +667,6 @@ ScaleFleetEngine::approx_bytes() const
                                       sizeof(FleetEvent));
         bytes += static_cast<int64_t>(shard.outbox.capacity() *
                                       sizeof(CloudShardTotals));
-        bytes += static_cast<int64_t>(
-            (shard.quarantined.capacity() +
-             shard.newly_quarantined.capacity() +
-             shard.readmitted.capacity()) *
-            sizeof(uint32_t));
         bytes += static_cast<int64_t>(sizeof(Shard));
     }
     bytes += static_cast<int64_t>(transcript_.capacity());
@@ -754,11 +689,7 @@ ScaleFleetEngine::rollback_and_redeploy(int64_t to_version)
     version_ = registry_.commit(model_, "rollback",
                                 meta->validation_accuracy,
                                 meta->trained_images);
-    if (canary_pending_) {
-        clear_canary_flags();
-        canary_pending_ = false;
-        canary_nodes_.clear();
-    }
+    end_canary();
     deploy_all(version_);
     black_box_.record(clock_s_, "fleet.rollback",
                       "to=" + std::to_string(to_version) +

@@ -8,7 +8,7 @@
  * the hundreds of nodes. `ScaleFleetEngine` keeps the *system*
  * behaviors (capture/flag/upload, crash chaos, quarantine, canary
  * rollout, validation-gated updates, rollback) while shrinking each
- * node to a ~24-byte POD, so a million-node fleet fits in tens of
+ * node to a 20-byte POD, so a million-node fleet fits in tens of
  * megabytes and steps millions of events per second.
  *
  * Engine shape, per stage:
@@ -24,7 +24,7 @@
  *     trajectory is identical at any shard count and thread width.
  *  2. **Serial merge fold.** Shard partials — upload totals
  *     (integer-quantized, ppm scale), tallies, quarantine and
- *     readmission lists, FNV digests — are folded in ascending shard
+ *     readmission counts, FNV digests — are folded in ascending shard
  *     order into the `ShardedUpdateAggregator` cloud shards and then
  *     into one stage report. Integer sums make the merged totals
  *     *exactly* invariant to both shard counts.
@@ -40,10 +40,14 @@
  * check_fleet_scale ctest (scripts/check_determinism.py) byte-diffs
  * both at widths 1 vs 4.
  *
- * Zero hot-path allocations: every heap, outbox and quarantine list
- * is preallocated at construction; `hot_allocs()` counts capacity
- * regrowths inside the event phase and must stay 0 in steady state
- * (asserted by tests and reported as `fleet.shard.hot_allocs`).
+ * Quarantine and the canary verdict are the supervisor's policy
+ * (`close_stage` per node at each shard's stage close,
+ * `canary_promotes` in the cloud phase; src/iot/supervisor.h).
+ *
+ * Zero hot-path allocations: every heap and outbox is preallocated at
+ * construction; `hot_allocs()` counts capacity regrowths inside the
+ * event phase and must stay 0 in steady state (asserted by tests and
+ * reported as `fleet.shard.hot_allocs`).
  */
 #pragma once
 
@@ -61,18 +65,14 @@ namespace insitu {
 
 /**
  * Event kinds, in tie-break order at equal (time, node): a reboot
- * precedes the rebooted node's capture at the same instant, captures
- * precede uplink drains, drains precede the stage-close bookkeeping.
+ * precedes the rebooted node's capture at the same instant, and
+ * captures precede uplink drains.
  */
 enum class FleetEventKind : uint8_t {
     kReboot = 0,  ///< crashed node comes back (adopts the watermark)
     kCapture = 1, ///< sensor capture + on-device diagnosis
     kDrain = 2,   ///< uplink window: ship backlog to the cloud
-    kStageEnd = 3,///< per-node stage-close bookkeeping (reserved)
 };
-
-/** Printable name of an event kind. */
-const char* fleet_event_kind_name(FleetEventKind kind);
 
 /** One scheduled simulation event. 16 bytes. */
 struct FleetEvent {
@@ -222,15 +222,16 @@ class ScaleFleetEngine {
         uint32_t version = 0;       ///< model version the node runs
         uint16_t seq = 0;           ///< event issue counter (tie-break)
         uint16_t value_permille = 0;///< usefulness of this node's uploads
-        uint8_t crash_bits = 0;     ///< sliding per-stage fault window
-        uint8_t state = 0;          ///< kDown | kQuarantined | kCanary
-        uint8_t clean_stages = 0;   ///< fault-free streak in quarantine
-        uint8_t pad = 0;
+        /// Crash-loop quarantine; quarantined nodes are excluded from
+        /// the pool and hold their version.
+        QuarantineTrack quarantine;
+        uint8_t state = 0;          ///< kDown | kCanary | kDrainQueued
     };
+    static_assert(sizeof(ScaleNode) <= 20,
+                  "the 1M-node sweep keeps nodes at 20 bytes");
     static constexpr uint8_t kDown = 1;        ///< crashed, awaiting reboot
-    static constexpr uint8_t kQuarantined = 2; ///< excluded from the pool
-    static constexpr uint8_t kCanary = 4;      ///< runs the candidate
-    static constexpr uint8_t kDrainQueued = 8; ///< a kDrain is in-heap
+    static constexpr uint8_t kCanary = 2;      ///< runs the candidate
+    static constexpr uint8_t kDrainQueued = 4; ///< a kDrain is in-heap
 
     /// One node-id shard: disjoint state written only by its own job.
     struct Shard {
@@ -238,9 +239,6 @@ class ScaleFleetEngine {
         int64_t end = 0;   ///< one past the last owned node id
         std::vector<FleetEvent> heap; ///< min-heap (fleet_event_before)
         std::vector<CloudShardTotals> outbox; ///< one cell per cloud shard
-        std::vector<uint32_t> quarantined;    ///< owned quarantined nodes
-        std::vector<uint32_t> newly_quarantined; ///< this stage
-        std::vector<uint32_t> readmitted;        ///< this stage
         int64_t deployed_version = 0; ///< the shard's deploy watermark
         // Per-stage tallies (reset at stage start, folded serially).
         int64_t events = 0;
@@ -252,6 +250,9 @@ class ScaleFleetEngine {
         int64_t crashes = 0;
         int64_t excluded = 0;
         int64_t backlog = 0;
+        int64_t quarantined = 0; ///< owned quarantined nodes at close
+        int64_t newly_quarantined = 0;
+        int64_t readmitted = 0;
         int64_t hot_allocs = 0; ///< capacity regrowths this stage
         uint64_t digest = 0;    ///< FNV fold of processed events
     };
@@ -263,7 +264,6 @@ class ScaleFleetEngine {
                          const FleetEvent& event, double t0);
     void process_drain(Shard& shard, ScaleNode& node, uint32_t id,
                        const FleetEvent& event);
-    void sweep_quarantine(Shard& shard);
     void deploy_all(int64_t version);
     void run_cloud_phase(const CloudShardTotals& totals,
                          ScaleStageReport& report);
@@ -271,7 +271,7 @@ class ScaleFleetEngine {
     void start_canary(int64_t candidate_version,
                       int64_t candidate_quality_ppm,
                       ScaleStageReport& report);
-    void clear_canary_flags();
+    void end_canary(); ///< drop a pending canary and its node flags
 
     ScaleFleetConfig config_;
     std::vector<ScaleNode> nodes_;
@@ -291,7 +291,6 @@ class ScaleFleetEngine {
     bool canary_pending_ = false;
     int64_t canary_version_ = 0;
     int64_t canary_quality_ppm_ = 0;
-    int64_t canary_baseline_version_ = 0;
     std::vector<uint32_t> canary_nodes_;
 
     std::string transcript_;

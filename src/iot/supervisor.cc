@@ -1,6 +1,7 @@
 #include "iot/supervisor.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -20,7 +21,13 @@ supervision_counter(const char* name)
 // Durable supervisor-state framing (payload of a SnapshotStore frame,
 // which already carries the CRC; this header pins the layout).
 constexpr uint32_t kSupMagic = 0x1A51'70A5u;
-constexpr uint32_t kSupVersion = 1u;
+constexpr uint32_t kSupVersion = 2u;
+
+int64_t
+to_ppm(double x)
+{
+    return static_cast<int64_t>(std::llround(x * 1e6));
+}
 
 } // namespace
 
@@ -139,7 +146,11 @@ QuarantineConfig::validated() const
                  "quarantine threshold must be positive");
     INSITU_CHECK(window_stages >= 1,
                  "quarantine window must be positive");
+    INSITU_CHECK(window_stages <= 8,
+                 "the fault window is tracked in 8 bits");
     INSITU_CHECK(readmit_after >= 1, "readmit streak must be positive");
+    INSITU_CHECK(readmit_after <= 255,
+                 "the readmit streak is tracked in 8 bits");
     return *this;
 }
 
@@ -150,6 +161,16 @@ CanaryConfig::validated() const
     INSITU_CHECK(accuracy_tolerance >= 0 && flag_rate_tolerance >= 0,
                  "canary tolerances must be non-negative");
     return *this;
+}
+
+bool
+canary_promotes(const CanaryConfig& config, const CanaryReading& canary,
+                const CanaryReading& baseline)
+{
+    return canary.accuracy_ppm + to_ppm(config.accuracy_tolerance) >=
+               baseline.accuracy_ppm &&
+           canary.flag_rate_ppm <=
+               baseline.flag_rate_ppm + to_ppm(config.flag_rate_tolerance);
 }
 
 const SupervisorConfig&
@@ -167,7 +188,7 @@ NodeHealth::score() const
         (static_cast<double>(stages_completed) + 1.0) /
         (static_cast<double>(stages_seen) + 1.0);
     const double fault_penalty =
-        1.0 / (1.0 + static_cast<double>(recent_faults.size()) +
+        1.0 / (1.0 + static_cast<double>(std::popcount(track.faults)) +
                static_cast<double>(restore_failures));
     return completion * fault_penalty;
 }
@@ -207,7 +228,7 @@ FleetSupervisor::health(size_t node) const
 bool
 FleetSupervisor::quarantined(size_t node) const
 {
-    return health(node).quarantined;
+    return health(node).track.quarantined != 0;
 }
 
 bool
@@ -245,43 +266,19 @@ FleetSupervisor::end_stage(int stage)
             h.last_flag_rate = obs.flag_rate;
             if (obs.has_accuracy) h.last_accuracy = obs.accuracy;
         }
-        if (faulted) h.recent_faults.push_back(stage);
-        while (!h.recent_faults.empty() &&
-               h.recent_faults.front() <=
-                   stage - config_.quarantine.window_stages)
-            h.recent_faults.pop_front();
-
-        if (!h.quarantined) {
-            if (static_cast<int>(h.recent_faults.size()) >=
-                config_.quarantine.crash_threshold) {
-                h.quarantined = true;
-                h.healthy_streak = 0;
-                decisions.newly_quarantined.push_back(
-                    static_cast<int>(i));
-                static auto& quarantines = supervision_counter(
-                    "iot.supervisor.quarantines");
-                quarantines.add(1);
-                obs::TraceRecorder::global().instant(
-                    "supervisor.quarantine",
-                    {{"node", std::to_string(i)},
-                     {"stage", std::to_string(stage)}});
-            }
-        } else {
-            h.healthy_streak = faulted ? 0 : h.healthy_streak + 1;
-            if (h.healthy_streak >= config_.quarantine.readmit_after) {
-                h.quarantined = false;
-                h.healthy_streak = 0;
-                h.recent_faults.clear();
-                decisions.readmitted.push_back(static_cast<int>(i));
-                static auto& readmissions = supervision_counter(
-                    "iot.supervisor.readmissions");
-                readmissions.add(1);
-                obs::TraceRecorder::global().instant(
-                    "supervisor.readmit",
-                    {{"node", std::to_string(i)},
-                     {"stage", std::to_string(stage)}});
-            }
-        }
+        const QuarantineTransition t =
+            close_stage(config_.quarantine, h.track, faulted);
+        if (t == QuarantineTransition::kNone) continue;
+        const bool entered = t == QuarantineTransition::kQuarantined;
+        (entered ? decisions.newly_quarantined : decisions.readmitted)
+            .push_back(static_cast<int>(i));
+        supervision_counter(entered ? "iot.supervisor.quarantines"
+                                    : "iot.supervisor.readmissions")
+            .add(1);
+        obs::TraceRecorder::global().instant(
+            entered ? "supervisor.quarantine" : "supervisor.readmit",
+            {{"node", std::to_string(i)},
+             {"stage", std::to_string(stage)}});
     }
 
     // 2. Judge a pending canary: the canaries (new model) against the
@@ -300,7 +297,7 @@ FleetSupervisor::end_stage(int stage)
                 canary_acc += observations_[i].accuracy;
                 canary_flag += observations_[i].flag_rate;
                 ++canaries;
-            } else if (!health_[i].quarantined) {
+            } else if (!health_[i].track.quarantined) {
                 control_acc += observations_[i].accuracy;
                 control_flag += observations_[i].flag_rate;
                 ++controls;
@@ -317,12 +314,9 @@ FleetSupervisor::end_stage(int stage)
                                          : canary_.baseline_flag_rate;
             decisions.canary_judged = true;
             decisions.canary_version = canary_.accepted_version;
-            const bool healthy =
-                canary_acc + config_.canary.accuracy_tolerance >=
-                    base_acc &&
-                canary_flag <=
-                    base_flag + config_.canary.flag_rate_tolerance;
-            if (healthy) {
+            if (canary_promotes(config_.canary,
+                                {to_ppm(canary_acc), to_ppm(canary_flag)},
+                                {to_ppm(base_acc), to_ppm(base_flag)})) {
                 decisions.canary_promoted = true;
                 static auto& promotions = supervision_counter(
                     "iot.supervisor.canary_promotions");
@@ -357,7 +351,7 @@ FleetSupervisor::pick_canaries() const
 {
     std::vector<int> healthy;
     for (size_t i = 0; i < health_.size(); ++i)
-        if (!health_[i].quarantined)
+        if (!health_[i].track.quarantined)
             healthy.push_back(static_cast<int>(i));
     if (healthy.size() < 2) return {}; // no control group possible
     std::sort(healthy.begin(), healthy.end(), [this](int a, int b) {
@@ -398,10 +392,9 @@ FleetSupervisor::encode_state() const
         storage::put_i64(out, h.restore_failures);
         storage::put_f64(out, h.last_flag_rate);
         storage::put_f64(out, h.last_accuracy);
-        storage::put_u32(out, h.quarantined ? 1u : 0u);
-        storage::put_i64(out, h.healthy_streak);
-        storage::put_u64(out, h.recent_faults.size());
-        for (int s : h.recent_faults) storage::put_i64(out, s);
+        storage::put_u32(out, h.track.quarantined);
+        storage::put_u32(out, h.track.clean_streak);
+        storage::put_u32(out, h.track.faults);
     }
     storage::put_u32(out, canary_.pending ? 1u : 0u);
     storage::put_i64(out, canary_.started_stage);
@@ -422,7 +415,9 @@ FleetSupervisor::restore_state(std::string_view blob)
         return false;
     if (r.u64() != health_.size() || !r.ok) return false;
 
-    // Decode into temporaries so a torn payload changes nothing.
+    // Decode into temporaries so a torn payload changes nothing, and
+    // refuse any state end_stage could never have produced.
+    const QuarantineConfig& q = config_.quarantine;
     std::vector<CircuitBreaker::Snapshot> breakers(health_.size());
     std::vector<NodeHealth> health(health_.size());
     for (size_t i = 0; i < health.size(); ++i) {
@@ -436,6 +431,7 @@ FleetSupervisor::restore_state(std::string_view blob)
         b.opens = r.i64();
         b.closes = r.i64();
         b.probes = r.i64();
+        if (b.opens < 0 || b.closes < 0 || b.probes < 0) return false;
 
         NodeHealth& h = health[i];
         h.stages_seen = r.i64();
@@ -444,20 +440,36 @@ FleetSupervisor::restore_state(std::string_view blob)
         h.restore_failures = r.i64();
         h.last_flag_rate = r.f64();
         h.last_accuracy = r.f64();
-        h.quarantined = r.u32() != 0;
-        h.healthy_streak = static_cast<int>(r.i64());
-        const uint64_t faults = r.u64();
-        if (!r.ok || faults > blob.size()) return false;
-        for (uint64_t k = 0; k < faults; ++k)
-            h.recent_faults.push_back(static_cast<int>(r.i64()));
+        if (h.stages_seen < 0 || h.stages_completed < 0 ||
+            h.crashes < 0 || h.restore_failures < 0)
+            return false;
+        const uint32_t quarantined = r.u32(), streak = r.u32(),
+                       faults = r.u32();
+        if (quarantined > 1 || faults >> q.window_stages != 0 ||
+            streak >= static_cast<uint32_t>(q.readmit_after) ||
+            (!quarantined &&
+             (streak != 0 || std::popcount(faults) >= q.crash_threshold)))
+            return false;
+        h.track = {static_cast<uint8_t>(faults), static_cast<uint8_t>(streak),
+                   static_cast<uint8_t>(quarantined)};
     }
     CanaryRollout canary;
-    canary.pending = r.u32() != 0;
+    const uint32_t pending = r.u32();
+    canary.pending = pending != 0;
     canary.started_stage = static_cast<int>(r.i64());
     const uint64_t canaries = r.u64();
-    if (!r.ok || canaries > blob.size()) return false;
-    for (uint64_t k = 0; k < canaries; ++k)
-        canary.nodes.push_back(static_cast<int>(r.i64()));
+    if (!r.ok || pending > 1 || canaries > health_.size() ||
+        canary.pending != (canaries > 0))
+        return false;
+    std::vector<char> seen(health_.size(), 0);
+    for (uint64_t k = 0; k < canaries; ++k) {
+        const int64_t node = r.i64();
+        if (node < 0 || node >= static_cast<int64_t>(health_.size()) ||
+            seen[static_cast<size_t>(node)])
+            return false;
+        seen[static_cast<size_t>(node)] = 1;
+        canary.nodes.push_back(static_cast<int>(node));
+    }
     canary.accepted_version = r.i64();
     canary.baseline_version = r.i64();
     canary.baseline_accuracy = r.f64();

@@ -32,9 +32,9 @@
  */
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -130,15 +130,58 @@ struct QuarantineConfig {
     /// Crash/restore-failure events within `window_stages` that
     /// quarantine a node.
     int crash_threshold = 2;
-    /// Sliding stage window the threshold is evaluated over.
+    /// Sliding window of observed stages (<= 8) the threshold checks.
     int window_stages = 3;
-    /// Consecutive fault-free stages a quarantined node must show
-    /// before it is re-admitted.
+    /// Consecutive fault-free stages (<= 255) a quarantined node must
+    /// show before it is re-admitted.
     int readmit_after = 2;
 
     /** Fatal-checks internal consistency; returns *this. */
     const QuarantineConfig& validated() const;
 };
+
+/**
+ * One node's crash-loop quarantine state, the same 3 bytes in both
+ * fleets: fault bits of the last `window_stages` observed stages (bit
+ * 0 the latest), the clean streak while quarantined, and the flag.
+ */
+struct QuarantineTrack {
+    uint8_t faults = 0;
+    uint8_t clean_streak = 0;
+    uint8_t quarantined = 0;
+};
+
+enum class QuarantineTransition : uint8_t { kNone, kQuarantined, kReadmitted };
+
+/**
+ * The crash-loop quarantine state machine of both fleets: slide the
+ * window one observed stage, quarantine at `crash_threshold` faults,
+ * readmit after `readmit_after` clean stages and clear the window on
+ * readmission (so one old fault cannot instantly re-quarantine).
+ * Inline: the 1M-node engine calls it for every node every stage.
+ */
+inline QuarantineTransition
+close_stage(const QuarantineConfig& config, QuarantineTrack& track,
+            bool faulted)
+{
+    const unsigned window = (1u << config.window_stages) - 1;
+    track.faults = static_cast<uint8_t>(
+        ((track.faults << 1) | (faulted ? 1u : 0u)) & window);
+    if (!track.quarantined) {
+        // A free window held fewer than crash_threshold faults last
+        // stage, so only a new fault can reach it.
+        if (!faulted || std::popcount(track.faults) < config.crash_threshold)
+            return QuarantineTransition::kNone;
+        track.quarantined = 1; // a free node's streak is already 0
+        return QuarantineTransition::kQuarantined;
+    }
+    track.clean_streak =
+        static_cast<uint8_t>(faulted ? 0 : track.clean_streak + 1);
+    if (track.clean_streak < config.readmit_after)
+        return QuarantineTransition::kNone;
+    track = QuarantineTrack{};
+    return QuarantineTransition::kReadmitted;
+}
 
 /** Knobs of the canary rollout protocol. */
 struct CanaryConfig {
@@ -155,6 +198,18 @@ struct CanaryConfig {
     /** Fatal-checks internal consistency; returns *this. */
     const CanaryConfig& validated() const;
 };
+
+/** A group's mean accuracy and flag rate, in integer ppm. */
+struct CanaryReading {
+    int64_t accuracy_ppm = 0;
+    int64_t flag_rate_ppm = 0;
+};
+
+/** The canary verdict of both fleets: promote iff @p canary is within
+ * the config's tolerances (rounded to ppm) of @p baseline. */
+bool canary_promotes(const CanaryConfig& config,
+                     const CanaryReading& canary,
+                     const CanaryReading& baseline);
 
 /** Configuration of the whole supervision layer. */
 struct SupervisorConfig {
@@ -174,10 +229,7 @@ struct NodeHealth {
     int64_t restore_failures = 0; ///< lifetime failed reboots
     double last_flag_rate = 0;    ///< most recent diagnosis flag rate
     double last_accuracy = 0;     ///< most recent pre-update accuracy
-    bool quarantined = false;
-    int healthy_streak = 0;       ///< fault-free stages while quarantined
-    /// Stage indices of faults inside the sliding quarantine window.
-    std::deque<int> recent_faults;
+    QuarantineTrack track;        ///< crash-loop quarantine state
 
     /**
      * Composite health in (0, 1]: completion ratio shrunk by faults
@@ -286,7 +338,8 @@ class FleetSupervisor {
     /**
      * All-or-nothing inverse of encode_state. False (leaving the
      * supervisor unchanged) on bad magic/version, a node-count
-     * mismatch, or any truncation/corruption.
+     * mismatch, any truncation/corruption, or a state `end_stage`
+     * could never reach (see docs/robustness.md).
      */
     bool restore_state(std::string_view blob);
 

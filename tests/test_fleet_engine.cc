@@ -39,11 +39,11 @@ ev(double t, uint32_t node, FleetEventKind kind, uint16_t seq = 0)
 TEST(FleetEngineOrder, TimeIsPrimary)
 {
     EXPECT_TRUE(fleet_event_before(
-        ev(1.0, 9, FleetEventKind::kStageEnd),
+        ev(1.0, 9, FleetEventKind::kDrain),
         ev(2.0, 0, FleetEventKind::kReboot)));
     EXPECT_FALSE(fleet_event_before(
         ev(2.0, 0, FleetEventKind::kReboot),
-        ev(1.0, 9, FleetEventKind::kStageEnd)));
+        ev(1.0, 9, FleetEventKind::kDrain)));
 }
 
 TEST(FleetEngineOrder, NodeBreaksTimeTies)
@@ -59,11 +59,10 @@ TEST(FleetEngineOrder, NodeBreaksTimeTies)
 TEST(FleetEngineOrder, KindBreaksNodeTies)
 {
     // The load-bearing tie: a node's reboot at the stage boundary
-    // must precede that node's capture at the same instant, captures
-    // precede drains, drains precede stage-close bookkeeping.
-    const auto kinds = {
-        FleetEventKind::kReboot, FleetEventKind::kCapture,
-        FleetEventKind::kDrain, FleetEventKind::kStageEnd};
+    // must precede that node's capture at the same instant, and
+    // captures precede drains.
+    const auto kinds = {FleetEventKind::kReboot, FleetEventKind::kCapture,
+                        FleetEventKind::kDrain};
     FleetEventKind prev = FleetEventKind::kReboot;
     bool first = true;
     for (FleetEventKind k : kinds) {
@@ -204,13 +203,18 @@ TEST(FleetEngine, QuarantineAndReadmission)
     config.quarantine.window_stages = 3;
     config.quarantine.readmit_after = 1;
     ScaleFleetEngine engine(config);
-    int64_t quarantines = 0, readmissions = 0;
+    int64_t quarantines = 0, readmissions = 0, held = 0;
     for (int s = 0; s < 10; ++s) {
         const ScaleStageReport report = engine.run_stage();
         quarantines += report.newly_quarantined;
         readmissions += report.readmitted;
         EXPECT_GE(report.quarantined, 0);
         EXPECT_LE(report.quarantined, config.nodes);
+        // The folded counts balance stage over stage.
+        EXPECT_EQ(report.quarantined,
+                  held + report.newly_quarantined - report.readmitted);
+        EXPECT_EQ(engine.quarantined_nodes(), report.quarantined);
+        held = report.quarantined;
     }
     EXPECT_GT(quarantines, 0);
     EXPECT_GT(readmissions, 0);
@@ -227,7 +231,8 @@ TEST(FleetEngine, ConfigSharesTheSupervisorChecks)
     no_window.quarantine.window_stages = 0;
     EXPECT_DEATH(no_window.validated(),
                  "quarantine window must be positive");
-    // The engine's own bound on top: the window lives in 8 bits.
+    // Both fleets keep the window in 8 bits, so the supervisor's own
+    // check refuses a wider one here too.
     ScaleFleetConfig wide_window;
     wide_window.quarantine.window_stages = 9;
     EXPECT_DEATH(wide_window.validated(), "tracked in 8 bits");
@@ -248,6 +253,22 @@ TEST(FleetEngine, CanaryPromotesHealthyUpdate)
     EXPECT_FALSE(second.canary_rolled_back);
     EXPECT_GT(second.version, first.version);
     EXPECT_GT(second.quality_ppm, first.quality_ppm);
+}
+
+TEST(FleetEngine, OneNodeFleetDeploysWithoutACanary)
+{
+    // No control node is left to judge a canary against, so an
+    // accepted update deploys at once.
+    ScaleFleetConfig config;
+    config.nodes = 1;
+    config.seed = 5;
+    ScaleFleetEngine engine(config);
+    const ScaleStageReport first = engine.run_stage();
+    ASSERT_TRUE(first.update_ran);
+    EXPECT_FALSE(first.rejected);
+    EXPECT_FALSE(first.canary_started);
+    EXPECT_GT(first.version, 1); // off genesis in the same stage
+    EXPECT_GT(first.quality_ppm, 350000);
 }
 
 TEST(FleetEngine, CanaryRollsBackPoisonedUpdate)

@@ -598,6 +598,60 @@ TEST(SupervisorState, RoundTripsBreakersHealthAndCanary)
         static_cast<unsigned char>(rotted[0]) ^ 0x01);
     EXPECT_FALSE(fresh.restore_state(rotted));
     EXPECT_EQ(fresh.encode_state(), fresh_state);
+
+    // CRC-valid but adversarial blobs: each field patched to a value
+    // end_stage could never produce is refused whole. Layout (v2):
+    // 16-byte header, then 112 bytes per node — breaker (state u32,
+    // 6 x 8 bytes), health (6 x 8 bytes), track (quarantined,
+    // clean_streak, faults as u32) — then the canary rollout.
+    constexpr size_t kHeader = 16, kNode = 112;
+    constexpr size_t kCanary = kHeader + 3 * kNode;
+    ASSERT_EQ(blob.size(), kCanary + 4 + 8 + 8 + 8 + 4 * 8);
+    const auto field = [&](size_t node, size_t offset) {
+        return kHeader + node * kNode + offset;
+    };
+    const auto patched = [&](size_t at, uint64_t value, size_t width) {
+        std::string out = blob;
+        for (size_t b = 0; b < width; ++b)
+            out[at + b] = static_cast<char>((value >> (8 * b)) & 0xFF);
+        return out;
+    };
+    const auto i64 = [](int64_t v) { return static_cast<uint64_t>(v); };
+    struct Patch {
+        const char* what;
+        std::string blob;
+    };
+    std::vector<Patch> patches = {
+        {"format v1", patched(4, 1, 4)},
+        {"breaker opens < 0", patched(field(0, 28), i64(-1), 8)},
+        {"breaker closes < 0", patched(field(0, 36), i64(-1), 8)},
+        {"breaker probes < 0", patched(field(0, 44), i64(-1), 8)},
+        {"stages_seen < 0", patched(field(1, 52), i64(-1), 8)},
+        {"stages_completed < 0", patched(field(1, 60), i64(-1), 8)},
+        {"crashes < 0", patched(field(2, 68), i64(-1), 8)},
+        {"restore_failures < 0", patched(field(2, 76), i64(-1), 8)},
+        {"quarantined = 2", patched(field(2, 100), 2, 4)},
+        {"clean_streak = readmit_after", patched(field(2, 104), 2, 4)},
+        {"clean_streak while free", patched(field(0, 104), 1, 4)},
+        {"fault bit outside the window", patched(field(0, 108), 8, 4)},
+        {"free node at the threshold", patched(field(0, 108), 3, 4)},
+        {"pending = 2", patched(kCanary, 2, 4)},
+        {"nodes without pending", patched(kCanary, 0, 4)},
+        {"canary id = num_nodes", patched(kCanary + 20, 3, 8)},
+        {"canary id < 0", patched(kCanary + 20, i64(-1), 8)},
+    };
+    // Splices: a pending rollout with no nodes, and a duplicated id.
+    std::string empty = patched(kCanary + 12, 0, 8);
+    empty.erase(kCanary + 20, 8);
+    patches.push_back({"pending without nodes", empty});
+    std::string twice = patched(kCanary + 12, 2, 8);
+    twice.insert(kCanary + 20, blob.substr(kCanary + 20, 8));
+    patches.push_back({"duplicated canary id", twice});
+    for (const Patch& p : patches) {
+        EXPECT_NE(p.blob, blob) << p.what;
+        EXPECT_FALSE(fresh.restore_state(p.blob)) << p.what;
+        EXPECT_EQ(fresh.encode_state(), fresh_state) << p.what;
+    }
 }
 
 } // namespace

@@ -2,17 +2,22 @@
  * @file
  * Tests for the self-healing supervision layer: the circuit-breaker
  * state machine and its energy savings under a flapping link,
- * crash-loop quarantine and re-admission, canary selection/judgment,
- * and the full supervised-vs-unsupervised chaos-fleet acceptance
- * scenario (including bit-identical replay across thread counts).
+ * crash-loop quarantine and re-admission (including the shared
+ * `close_stage` state machine against a reference model), canary
+ * selection/judgment, and the full supervised-vs-unsupervised
+ * chaos-fleet acceptance scenario (including bit-identical replay
+ * across thread counts).
  */
 #include <gtest/gtest.h>
+
+#include <deque>
 
 #include "faults/fault_injector.h"
 #include "iot/fleet.h"
 #include "iot/supervisor.h"
 #include "iot/uplink.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace insitu {
 namespace {
@@ -212,6 +217,104 @@ TEST(Quarantine, RestoreFailuresCountAsFaults)
     EXPECT_EQ(sup.health(1).restore_failures, 2);
     // Failed reboots depress the health score below a clean node's.
     EXPECT_LT(sup.health(1).score(), sup.health(0).score());
+}
+
+/**
+ * The supervisor's quarantine algorithm before both fleets shared
+ * `close_stage`: a deque of fault stage indices trimmed to the window,
+ * a healthy streak while quarantined, and a window cleared on
+ * readmission. Stages are consecutive, so index windows and
+ * observed-stage windows coincide.
+ */
+struct ReferenceQuarantine {
+    std::deque<int> recent_faults;
+    bool quarantined = false;
+    int healthy_streak = 0;
+
+    QuarantineTransition
+    close(const QuarantineConfig& config, int stage, bool faulted)
+    {
+        if (faulted) recent_faults.push_back(stage);
+        while (!recent_faults.empty() &&
+               recent_faults.front() <= stage - config.window_stages)
+            recent_faults.pop_front();
+        if (!quarantined) {
+            if (static_cast<int>(recent_faults.size()) <
+                config.crash_threshold)
+                return QuarantineTransition::kNone;
+            quarantined = true;
+            healthy_streak = 0;
+            return QuarantineTransition::kQuarantined;
+        }
+        healthy_streak = faulted ? 0 : healthy_streak + 1;
+        if (healthy_streak < config.readmit_after)
+            return QuarantineTransition::kNone;
+        quarantined = false;
+        healthy_streak = 0;
+        recent_faults.clear();
+        return QuarantineTransition::kReadmitted;
+    }
+
+    /** The deque as close_stage's window bits (bit 0 = @p stage). */
+    unsigned
+    bits(int stage) const
+    {
+        unsigned out = 0;
+        for (int s : recent_faults) out |= 1u << (stage - s);
+        return out;
+    }
+};
+
+TEST(Quarantine, SharedStateMachineMatchesTheReference)
+{
+    int64_t quarantines = 0, readmissions = 0;
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        Rng rng(seed);
+        for (int threshold = 1; threshold <= 3; ++threshold)
+            for (int window = 1; window <= 8; ++window)
+                for (int readmit = 1; readmit <= 4; ++readmit) {
+                    QuarantineConfig config;
+                    config.crash_threshold = threshold;
+                    config.window_stages = window;
+                    config.readmit_after = readmit;
+                    config.validated();
+                    // Fault density per sequence, so both crash loops
+                    // and long clean runs occur.
+                    const double p_fault = rng.uniform(0.05, 0.7);
+                    QuarantineTrack track;
+                    ReferenceQuarantine ref;
+                    for (int stage = 0; stage < 48; ++stage) {
+                        const bool faulted = rng.uniform() < p_fault;
+                        const auto got =
+                            close_stage(config, track, faulted);
+                        const auto want =
+                            ref.close(config, stage, faulted);
+                        ASSERT_EQ(static_cast<int>(got),
+                                  static_cast<int>(want))
+                            << "seed " << seed << " config " << threshold
+                            << "/" << window << "/" << readmit
+                            << " stage " << stage;
+                        ASSERT_EQ(track.quarantined != 0, ref.quarantined);
+                        ASSERT_EQ(track.clean_streak, ref.healthy_streak);
+                        ASSERT_EQ(track.faults, ref.bits(stage));
+                        quarantines +=
+                            got == QuarantineTransition::kQuarantined;
+                        readmissions +=
+                            got == QuarantineTransition::kReadmitted;
+                    }
+                }
+    }
+    EXPECT_GT(quarantines, 0);
+    EXPECT_GT(readmissions, 0);
+}
+
+TEST(Quarantine, ConfigRefusesAWindowWiderThanEightBits)
+{
+    SupervisorConfig config;
+    config.quarantine.window_stages = 8;
+    config.validated();
+    config.quarantine.window_stages = 9;
+    EXPECT_DEATH(config.validated(), "tracked in 8 bits");
 }
 
 TEST(Canary, PickPrefersHealthiestAndKeepsAControl)
