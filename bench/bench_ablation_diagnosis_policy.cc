@@ -5,6 +5,8 @@
  * shows the precision/recall trade-off it sits on: more probes with a
  * low threshold flag more (high recall of true errors, more upload);
  * a high threshold uploads less but misses misclassified images.
+ * Diagnosis runs the jigsaw trunk once per image and only the head
+ * per probe, so the sweep reaches 8 probes.
  */
 #include <cstdio>
 
@@ -49,7 +51,7 @@ main()
     std::string best_policy;
     double recall_21 = 0.0, recall_22 = 0.0;
     double flag_21 = 0.0, flag_22 = 0.0;
-    for (int probes : {1, 2, 3}) {
+    for (int probes : {1, 2, 3, 4, 6, 8}) {
         for (int threshold = 1; threshold <= probes; ++threshold) {
             // Fresh task objects share the same trained weights.
             Network net_copy = make_tiny_inference(config, net_rng);

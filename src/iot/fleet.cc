@@ -611,7 +611,7 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
                     base_flag /= static_cast<double>(healthy);
                 }
                 supervisor_->start_canary(
-                    stage_index_, canaries, vr.accepted_version,
+                    canaries, vr.accepted_version,
                     vr.baseline_version, base_acc, base_flag);
                 report.canary_started = true;
                 report.canary_nodes = canaries;

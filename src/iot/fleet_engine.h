@@ -172,7 +172,6 @@ class ScaleFleetEngine {
     const ScaleFleetConfig& config() const { return config_; }
     int shards() const { return static_cast<int>(shards_.size()); }
     int64_t nodes() const { return static_cast<int64_t>(nodes_.size()); }
-    int stages_run() const { return stage_; }
 
     /** Events processed across all stages so far. */
     int64_t events_processed() const { return events_total_; }

@@ -21,7 +21,7 @@ supervision_counter(const char* name)
 // Durable supervisor-state framing (payload of a SnapshotStore frame,
 // which already carries the CRC; this header pins the layout).
 constexpr uint32_t kSupMagic = 0x1A51'70A5u;
-constexpr uint32_t kSupVersion = 2u;
+constexpr uint32_t kSupVersion = 3u;
 
 int64_t
 to_ppm(double x)
@@ -397,7 +397,6 @@ FleetSupervisor::encode_state() const
         storage::put_u32(out, h.track.faults);
     }
     storage::put_u32(out, canary_.pending ? 1u : 0u);
-    storage::put_i64(out, canary_.started_stage);
     storage::put_u64(out, canary_.nodes.size());
     for (int n : canary_.nodes) storage::put_i64(out, n);
     storage::put_i64(out, canary_.accepted_version);
@@ -456,7 +455,6 @@ FleetSupervisor::restore_state(std::string_view blob)
     CanaryRollout canary;
     const uint32_t pending = r.u32();
     canary.pending = pending != 0;
-    canary.started_stage = static_cast<int>(r.i64());
     const uint64_t canaries = r.u64();
     if (!r.ok || pending > 1 || canaries > health_.size() ||
         canary.pending != (canaries > 0))
@@ -485,7 +483,7 @@ FleetSupervisor::restore_state(std::string_view blob)
 }
 
 void
-FleetSupervisor::start_canary(int stage, std::vector<int> nodes,
+FleetSupervisor::start_canary(std::vector<int> nodes,
                               int64_t accepted_version,
                               int64_t baseline_version,
                               double baseline_accuracy,
@@ -495,7 +493,6 @@ FleetSupervisor::start_canary(int stage, std::vector<int> nodes,
                  "a canary rollout is already in flight");
     INSITU_CHECK(!nodes.empty(), "canary subset must be non-empty");
     canary_.pending = true;
-    canary_.started_stage = stage;
     canary_.nodes = std::move(nodes);
     canary_.accepted_version = accepted_version;
     canary_.baseline_version = baseline_version;

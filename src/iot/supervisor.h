@@ -250,7 +250,6 @@ struct NodeStageObservation {
 /** One in-flight canary rollout. */
 struct CanaryRollout {
     bool pending = false;
-    int started_stage = -1;
     std::vector<int> nodes;       ///< the canary subset
     int64_t accepted_version = 0; ///< registry id under evaluation
     int64_t baseline_version = 0; ///< registry id to roll back to
@@ -320,7 +319,7 @@ class FleetSupervisor {
     std::vector<int> pick_canaries() const;
 
     /** Begin a staged rollout of @p accepted_version. */
-    void start_canary(int stage, std::vector<int> nodes,
+    void start_canary(std::vector<int> nodes,
                       int64_t accepted_version,
                       int64_t baseline_version,
                       double baseline_accuracy,

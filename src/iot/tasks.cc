@@ -47,23 +47,37 @@ DiagnosisTask::diagnose(const Tensor& images, int64_t batch_size)
 {
     INSITU_CHECK(images.rank() == 4, "diagnose expects NCHW images");
     const int64_t n = images.dim(0);
-    std::vector<int> failures(static_cast<size_t>(n), 0);
-    for (int probe = 0; probe < config_.probes; ++probe) {
-        for (int64_t begin = 0; begin < n; begin += batch_size) {
-            const int64_t end = std::min(n, begin + batch_size);
-            const Tensor chunk = images.slice0(begin, end);
-            const JigsawBatch batch =
-                make_jigsaw_batch(chunk, perms_, rng_);
-            const Tensor logits = net_.infer(batch.patches);
-            const auto preds = logits.argmax_rows();
+    const auto count = static_cast<size_t>(n);
+    // One permutation per probe per image, drawn probe-major in image
+    // order, as one make_jigsaw_batch per probe and chunk would.
+    std::vector<int64_t> ids(static_cast<size_t>(config_.probes) * count);
+    for (auto& id : ids)
+        id = static_cast<int64_t>(
+            rng_.next_below(static_cast<uint64_t>(perms_.size())));
+    // A probe's permutation only reorders an image's nine tile
+    // features, so the trunk runs once per chunk and each probe runs
+    // only the head.
+    std::vector<int> failures(count, 0);
+    for (int64_t begin = 0; begin < n; begin += batch_size) {
+        const int64_t end = std::min(n, begin + batch_size);
+        const Tensor features =
+            net_.tile_features(images.slice0(begin, end));
+        for (int probe = 0; probe < config_.probes; ++probe) {
+            const std::span<const int64_t> chunk_ids(
+                ids.data() + static_cast<size_t>(probe) * count +
+                    static_cast<size_t>(begin),
+                static_cast<size_t>(end - begin));
+            const auto preds =
+                net_.infer_shuffled(features, perms_, chunk_ids)
+                    .argmax_rows();
             for (size_t i = 0; i < preds.size(); ++i) {
-                if (preds[i] != batch.labels[i])
+                if (preds[i] != chunk_ids[i])
                     ++failures[static_cast<size_t>(begin) + i];
             }
         }
     }
-    std::vector<bool> flags(static_cast<size_t>(n));
-    for (size_t i = 0; i < flags.size(); ++i)
+    std::vector<bool> flags(count);
+    for (size_t i = 0; i < count; ++i)
         flags[i] = failures[i] >= config_.fail_threshold;
     return flags;
 }

@@ -143,6 +143,39 @@ JigsawNetwork::infer(const Tensor& patches) const
     return head_.infer(concat_tiles(feats, patches.dim(0)));
 }
 
+Tensor
+JigsawNetwork::tile_features(const Tensor& images) const
+{
+    return trunk_.infer(fold_tiles(extract_patches(images)));
+}
+
+Tensor
+JigsawNetwork::infer_shuffled(const Tensor& features,
+                              const PermutationSet& perms,
+                              std::span<const int64_t> perm_ids) const
+{
+    const auto b = static_cast<int64_t>(perm_ids.size());
+    INSITU_CHECK(features.rank() == 2 &&
+                     features.dim(0) == b * PermutationSet::kTiles,
+                 "infer_shuffled expects (B*9, F) tile features");
+    const int64_t f = features.dim(1);
+    Tensor gathered = Tensor::uninitialized(features.shape());
+    const float* in = features.data();
+    float* out = gathered.data();
+    for (int64_t n = 0; n < b; ++n) {
+        const auto& perm =
+            perms.perm(static_cast<int>(perm_ids[static_cast<size_t>(n)]));
+        for (int64_t slot = 0; slot < PermutationSet::kTiles; ++slot) {
+            const float* src =
+                in + (n * PermutationSet::kTiles +
+                      perm[static_cast<size_t>(slot)]) * f;
+            std::copy(src, src + f,
+                      out + (n * PermutationSet::kTiles + slot) * f);
+        }
+    }
+    return head_.infer(concat_tiles(gathered, b));
+}
+
 void
 JigsawNetwork::backward(const Tensor& grad_logits)
 {

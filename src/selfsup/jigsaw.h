@@ -12,6 +12,7 @@
  */
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "nn/network.h"
@@ -71,6 +72,23 @@ class JigsawNetwork {
 
     /** Stateless forward(patches, false) via Network::infer. */
     Tensor infer(const Tensor& patches) const;
+
+    /**
+     * Trunk features of every tile of @p images (B, C, H, W), in grid
+     * order: (B*9, F), row n*9 + t holding tile t of image n. The trunk
+     * sees each tile on its own, so these rows serve every permutation.
+     */
+    Tensor tile_features(const Tensor& images) const;
+
+    /**
+     * Permutation logits (B, n_perm) from tile_features() output:
+     * image n's slot s gets the features of tile
+     * perms.perm(perm_ids[n])[s], then the head runs. Bit-identical to
+     * infer() on the patches make_jigsaw_batch shuffles by the same ids.
+     */
+    Tensor infer_shuffled(const Tensor& features,
+                          const PermutationSet& perms,
+                          std::span<const int64_t> perm_ids) const;
 
     /** Backward through head and (fold-batched) trunk. */
     void backward(const Tensor& grad_logits);

@@ -1,6 +1,7 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "tensor/gemm.h"
@@ -27,6 +28,23 @@ obs::Counter&
 kernel_counter(const char* name)
 {
     return obs::MetricsRegistry::global().counter(name);
+}
+
+/**
+ * The output positions [o0, o1) along one axis whose input position
+ * o * stride + k - pad lies inside [0, in): kernel offset @p k reads
+ * padding everywhere else. o0 == o1 when it reads only padding.
+ */
+std::pair<int64_t, int64_t>
+valid_out_span(const ConvGeometry& g, int64_t in, int64_t out, int64_t k)
+{
+    const int64_t lead = g.pad - k;     // o * stride >= lead
+    const int64_t lim = in + g.pad - k; // o * stride < lim
+    const int64_t o0 =
+        std::min(out, lead > 0 ? (lead + g.stride - 1) / g.stride : 0);
+    const int64_t o1 =
+        std::min(out, lim > 0 ? (lim + g.stride - 1) / g.stride : 0);
+    return {o0, std::max(o0, o1)};
 }
 
 } // namespace
@@ -106,24 +124,33 @@ im2col_into(const Tensor& input, int64_t batch_index,
     INSITU_CHECK(ld >= oh * ow, "im2col row stride below R*C");
     const float* in = input.data() +
                       batch_index * g.in_channels * g.in_h * g.in_w;
-    for (int64_t c = 0; c < g.in_channels; ++c) {
-        for (int64_t ky = 0; ky < g.kernel; ++ky) {
-            for (int64_t kx = 0; kx < g.kernel; ++kx) {
-                const int64_t row =
-                    (c * g.kernel + ky) * g.kernel + kx;
-                float* dst = out + row * ld;
-                for (int64_t y = 0; y < oh; ++y) {
-                    const int64_t iy = y * g.stride + ky - g.pad;
-                    for (int64_t x = 0; x < ow; ++x) {
-                        const int64_t ix = x * g.stride + kx - g.pad;
-                        float v = 0.0f;
-                        if (iy >= 0 && iy < g.in_h && ix >= 0 &&
-                            ix < g.in_w) {
-                            v = in[(c * g.in_h + iy) * g.in_w + ix];
-                        }
-                        dst[y * ow + x] = v;
+    const int64_t plane = g.in_h * g.in_w;
+    // Per kernel offset: padding rows are zero blocks, and each valid
+    // row is a zero edge, a copy of the interior and a zero edge.
+    for (int64_t ky = 0; ky < g.kernel; ++ky) {
+        const auto [y0, y1] = valid_out_span(g, g.in_h, oh, ky);
+        for (int64_t kx = 0; kx < g.kernel; ++kx) {
+            const auto [x0, x1] = valid_out_span(g, g.in_w, ow, kx);
+            const int64_t shift = kx - g.pad;
+            for (int64_t c = 0; c < g.in_channels; ++c) {
+                float* dst =
+                    out + ((c * g.kernel + ky) * g.kernel + kx) * ld;
+                std::fill(dst, dst + y0 * ow, 0.0f);
+                for (int64_t y = y0; y < y1; ++y) {
+                    const float* src =
+                        in + c * plane + (y * g.stride + ky - g.pad) * g.in_w;
+                    float* row = dst + y * ow;
+                    std::fill(row, row + x0, 0.0f);
+                    if (g.stride == 1 && x0 < x1) {
+                        std::copy(src + x0 + shift, src + x1 + shift,
+                                  row + x0);
+                    } else {
+                        for (int64_t x = x0; x < x1; ++x)
+                            row[x] = src[x * g.stride + shift];
                     }
+                    std::fill(row + x1, row + ow, 0.0f);
                 }
+                std::fill(dst + y1 * ow, dst + oh * ow, 0.0f);
             }
         }
     }
@@ -216,22 +243,25 @@ col2im_accumulate(const float* cols, Tensor& grad_input,
     INSITU_CHECK(ld >= oh * ow, "col2im row stride below R*C");
     float* out = grad_input.data() +
                  batch_index * g.in_channels * g.in_h * g.in_w;
-    const float* in = cols;
-    for (int64_t c = 0; c < g.in_channels; ++c) {
-        for (int64_t ky = 0; ky < g.kernel; ++ky) {
-            for (int64_t kx = 0; kx < g.kernel; ++kx) {
-                const int64_t row =
-                    (c * g.kernel + ky) * g.kernel + kx;
-                const float* src = in + row * ld;
-                for (int64_t y = 0; y < oh; ++y) {
-                    const int64_t iy = y * g.stride + ky - g.pad;
-                    if (iy < 0 || iy >= g.in_h) continue;
-                    for (int64_t x = 0; x < ow; ++x) {
-                        const int64_t ix = x * g.stride + kx - g.pad;
-                        if (ix < 0 || ix >= g.in_w) continue;
-                        out[(c * g.in_h + iy) * g.in_w + ix] +=
-                            src[y * ow + x];
-                    }
+    const int64_t plane = g.in_h * g.in_w;
+    // An input element of channel c takes one term per kernel offset,
+    // from channel c's rows only, so sweeping the offsets outermost
+    // keeps each element's terms in ascending (ky, kx) order: conv
+    // gradients depend on that order bit for bit.
+    for (int64_t ky = 0; ky < g.kernel; ++ky) {
+        const auto [y0, y1] = valid_out_span(g, g.in_h, oh, ky);
+        for (int64_t kx = 0; kx < g.kernel; ++kx) {
+            const auto [x0, x1] = valid_out_span(g, g.in_w, ow, kx);
+            const int64_t shift = kx - g.pad;
+            for (int64_t c = 0; c < g.in_channels; ++c) {
+                const float* src =
+                    cols + ((c * g.kernel + ky) * g.kernel + kx) * ld;
+                for (int64_t y = y0; y < y1; ++y) {
+                    float* dst = out + c * plane +
+                                 (y * g.stride + ky - g.pad) * g.in_w;
+                    const float* row = src + y * ow;
+                    for (int64_t x = x0; x < x1; ++x)
+                        dst[x * g.stride + shift] += row[x];
                 }
             }
         }

@@ -3,10 +3,11 @@
  * CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) for the
  * durable-storage framing and the weight-blob checksums.
  *
- * Software table implementation: deterministic on every platform,
- * fast enough for checkpoint-sized payloads (one table lookup per
- * byte), and the exact polynomial everything from zlib to Ethernet
- * uses, so golden values can be checked against any reference.
+ * Software slicing-by-8 implementation: deterministic on every
+ * platform, eight table lookups per eight bytes with no dependence
+ * between them, and the exact polynomial everything from zlib to
+ * Ethernet uses, so golden values can be checked against any
+ * reference.
  */
 #pragma once
 

@@ -699,6 +699,81 @@ TEST(Infer, PredictAndDiagnoseMatchForwardReference)
     set_num_threads(0);
 }
 
+TEST(Infer, TrunkOnceDiagnosisMatchesPerProbeReference)
+{
+    // diagnose() runs the jigsaw trunk once per chunk and only the
+    // head per probe. Reference: a fresh make_jigsaw_batch + infer per
+    // probe and chunk, replaying the same probe draws. Four pretext
+    // classes make probes pass often enough for flags to vary.
+    TinyConfig config;
+    config.num_permutations = 4;
+    Rng rng(37);
+    PermutationSet perms(config.num_permutations, rng);
+    const auto make_net = [&] {
+        Rng r(38);
+        return make_tiny_jigsaw(config, r);
+    };
+    const JigsawNetwork net = make_net();
+    constexpr int64_t kBatch = 32;
+    constexpr uint64_t kDiagSeed = 78;
+    bool some_flagged = false, some_clear = false;
+    for (const int64_t n : {1, 31, 32, 33}) {
+        const Tensor images = random_batch(n, {3, 24, 24}, rng);
+        for (int probes = 1; probes <= 4; ++probes) {
+            set_num_threads(1);
+            Rng probe_rng(kDiagSeed);
+            std::vector<int> failures(static_cast<size_t>(n), 0);
+            for (int probe = 0; probe < probes; ++probe) {
+                for (int64_t b = 0; b < n; b += kBatch) {
+                    const Tensor chunk =
+                        images.slice0(b, std::min(n, b + kBatch));
+                    const JigsawBatch batch =
+                        make_jigsaw_batch(chunk, perms, probe_rng);
+                    const Tensor want = net.infer(batch.patches);
+                    for (const int width : kInferWidths) {
+                        set_num_threads(width);
+                        expect_bit_identical(
+                            net.infer_shuffled(net.tile_features(chunk),
+                                               perms, batch.labels),
+                            want,
+                            "logits n " + std::to_string(n) +
+                                " probe " + std::to_string(probe) +
+                                " width " + std::to_string(width));
+                    }
+                    set_num_threads(1);
+                    const auto preds = want.argmax_rows();
+                    for (size_t i = 0; i < preds.size(); ++i)
+                        if (preds[i] != batch.labels[i])
+                            ++failures[static_cast<size_t>(b) + i];
+                }
+            }
+            for (int threshold = 1; threshold <= probes; ++threshold) {
+                std::vector<bool> want_flags;
+                for (int f : failures) {
+                    want_flags.push_back(f >= threshold);
+                    (f >= threshold ? some_flagged : some_clear) = true;
+                }
+                for (const int width : kInferWidths) {
+                    set_num_threads(width);
+                    DiagnosisTask diagnosis(
+                        make_net(), perms,
+                        DiagnosisConfig{.probes = probes,
+                                        .fail_threshold = threshold},
+                        kDiagSeed);
+                    EXPECT_EQ(diagnosis.diagnose(images, kBatch),
+                              want_flags)
+                        << "n " << n << " probes " << probes
+                        << " threshold " << threshold << " width "
+                        << width;
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(some_flagged && some_clear)
+        << "the sweep never separates flagged from clear images";
+    set_num_threads(0);
+}
+
 // --- grouped conv lowering ----------------------------------------
 
 /// Conv2d's outputs and gradients, computed the per-image way: one

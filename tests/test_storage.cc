@@ -25,6 +25,7 @@
 #include "storage/snapshot.h"
 #include "storage/wal.h"
 #include "util/crc32.h"
+#include "util/rng.h"
 
 namespace insitu {
 namespace {
@@ -65,6 +66,40 @@ TEST(Crc32, MatchesTheIeeeReferenceVector)
     EXPECT_EQ(crc32("6789", crc32("12345")), crc32("123456789"));
     // Sensitivity: one flipped bit changes the sum.
     EXPECT_NE(crc32("123456788"), crc32("123456789"));
+}
+
+TEST(Crc32, SlicedMatchesBytewiseReference)
+{
+    // A table-free byte-at-a-time CRC, one bit per step: the
+    // reference the sliced implementation must match on every
+    // length, alignment and seed, since every on-disk checksum
+    // depends on it.
+    const auto reference = [](const unsigned char* p, size_t n,
+                              uint32_t seed) {
+        uint32_t c = seed ^ 0xFFFFFFFFu;
+        for (size_t i = 0; i < n; ++i) {
+            c ^= p[i];
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+        }
+        return c ^ 0xFFFFFFFFu;
+    };
+    Rng rng(11);
+    std::vector<unsigned char> buf(4097 + 8);
+    for (auto& b : buf) b = static_cast<unsigned char>(rng.next_below(256));
+    for (size_t n = 0; n <= 4097; ++n) {
+        const size_t start = n % 8; // every misalignment
+        const unsigned char* p = buf.data() + start;
+        const uint32_t seed = static_cast<uint32_t>(n * 0x9E3779B9u);
+        ASSERT_EQ(crc32_bytes(p, n), reference(p, n, 0)) << "n " << n;
+        ASSERT_EQ(crc32_bytes(p, n, seed), reference(p, n, seed))
+            << "n " << n;
+        // Chained in two pieces at an uneven cut.
+        const size_t cut = std::min(n, n / 3 + n % 5);
+        ASSERT_EQ(crc32_bytes(p + cut, n - cut, crc32_bytes(p, cut)),
+                  reference(p, n, 0))
+            << "n " << n << " cut " << cut;
+    }
 }
 
 TEST(Codec, RoundTripsEveryFieldKind)
@@ -569,7 +604,7 @@ TEST(SupervisorState, RoundTripsBreakersHealthAndCanary)
         }
         sup.end_stage(stage);
     }
-    sup.start_canary(3, {1}, 7, 6, 0.8, 0.2);
+    sup.start_canary({1}, 7, 6, 0.8, 0.2);
     ASSERT_TRUE(sup.quarantined(2));
     ASSERT_EQ(sup.breaker(0).state(), BreakerState::kOpen);
 
@@ -600,13 +635,13 @@ TEST(SupervisorState, RoundTripsBreakersHealthAndCanary)
     EXPECT_EQ(fresh.encode_state(), fresh_state);
 
     // CRC-valid but adversarial blobs: each field patched to a value
-    // end_stage could never produce is refused whole. Layout (v2):
+    // end_stage could never produce is refused whole. Layout (v3):
     // 16-byte header, then 112 bytes per node — breaker (state u32,
     // 6 x 8 bytes), health (6 x 8 bytes), track (quarantined,
     // clean_streak, faults as u32) — then the canary rollout.
     constexpr size_t kHeader = 16, kNode = 112;
     constexpr size_t kCanary = kHeader + 3 * kNode;
-    ASSERT_EQ(blob.size(), kCanary + 4 + 8 + 8 + 8 + 4 * 8);
+    ASSERT_EQ(blob.size(), kCanary + 4 + 8 + 8 + 4 * 8);
     const auto field = [&](size_t node, size_t offset) {
         return kHeader + node * kNode + offset;
     };
@@ -623,6 +658,7 @@ TEST(SupervisorState, RoundTripsBreakersHealthAndCanary)
     };
     std::vector<Patch> patches = {
         {"format v1", patched(4, 1, 4)},
+        {"format v2", patched(4, 2, 4)},
         {"breaker opens < 0", patched(field(0, 28), i64(-1), 8)},
         {"breaker closes < 0", patched(field(0, 36), i64(-1), 8)},
         {"breaker probes < 0", patched(field(0, 44), i64(-1), 8)},
@@ -637,15 +673,15 @@ TEST(SupervisorState, RoundTripsBreakersHealthAndCanary)
         {"free node at the threshold", patched(field(0, 108), 3, 4)},
         {"pending = 2", patched(kCanary, 2, 4)},
         {"nodes without pending", patched(kCanary, 0, 4)},
-        {"canary id = num_nodes", patched(kCanary + 20, 3, 8)},
-        {"canary id < 0", patched(kCanary + 20, i64(-1), 8)},
+        {"canary id = num_nodes", patched(kCanary + 12, 3, 8)},
+        {"canary id < 0", patched(kCanary + 12, i64(-1), 8)},
     };
     // Splices: a pending rollout with no nodes, and a duplicated id.
-    std::string empty = patched(kCanary + 12, 0, 8);
-    empty.erase(kCanary + 20, 8);
+    std::string empty = patched(kCanary + 4, 0, 8);
+    empty.erase(kCanary + 12, 8);
     patches.push_back({"pending without nodes", empty});
-    std::string twice = patched(kCanary + 12, 2, 8);
-    twice.insert(kCanary + 20, blob.substr(kCanary + 20, 8));
+    std::string twice = patched(kCanary + 4, 2, 8);
+    twice.insert(kCanary + 12, blob.substr(kCanary + 12, 8));
     patches.push_back({"duplicated canary id", twice});
     for (const Patch& p : patches) {
         EXPECT_NE(p.blob, blob) << p.what;

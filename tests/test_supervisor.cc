@@ -159,7 +159,12 @@ small_supervisor_config()
 
 TEST(Quarantine, CrashLoopQuarantinesAndSustainedHealthReadmits)
 {
-    FleetSupervisor sup(small_supervisor_config(), 3);
+    // A window of readmit_after + 2 stages still holds both
+    // pre-quarantine faults at stage 4, so the last step below fails
+    // unless readmission wipes the window.
+    SupervisorConfig config = small_supervisor_config();
+    config.quarantine.window_stages = 4;
+    FleetSupervisor sup(config, 3);
 
     // Stage 0: node 2 crashes once — under the threshold.
     sup.observe(0, healthy_obs());
@@ -349,7 +354,7 @@ TEST(Canary, PickPrefersHealthiestAndKeepsAControl)
 TEST(Canary, RegressingCanaryRollsBackToBaseline)
 {
     FleetSupervisor sup(small_supervisor_config(), 3);
-    sup.start_canary(/*stage=*/0, {0}, /*accepted_version=*/7,
+    sup.start_canary({0}, /*accepted_version=*/7,
                      /*baseline_version=*/6, 0.8, 0.2);
     ASSERT_TRUE(sup.canary_pending());
     EXPECT_TRUE(sup.is_canary(0));
@@ -371,7 +376,7 @@ TEST(Canary, RegressingCanaryRollsBackToBaseline)
 TEST(Canary, HealthyCanaryPromotes)
 {
     FleetSupervisor sup(small_supervisor_config(), 3);
-    sup.start_canary(0, {2}, 9, 8, 0.8, 0.2);
+    sup.start_canary({2}, 9, 8, 0.8, 0.2);
     sup.observe(0, healthy_obs(0.78, 0.2));
     sup.observe(1, healthy_obs(0.8, 0.2));
     sup.observe(2, healthy_obs(0.79, 0.25)); // within both tolerances
@@ -385,7 +390,7 @@ TEST(Canary, HealthyCanaryPromotes)
 TEST(Canary, JudgmentDefersWhileCanariesAreDown)
 {
     FleetSupervisor sup(small_supervisor_config(), 3);
-    sup.start_canary(0, {1}, 5, 4, 0.8, 0.2);
+    sup.start_canary({1}, 5, 4, 0.8, 0.2);
     // The canary crashed: no verdict this stage.
     sup.observe(0, healthy_obs());
     sup.observe(1, crashed_obs());

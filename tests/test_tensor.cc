@@ -5,6 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -234,6 +239,130 @@ TEST(Col2im, IsAdjointOfIm2col)
     for (int64_t i = 0; i < x.numel(); ++i)
         rhs += static_cast<double>(x.at(i)) * back.at(i);
     EXPECT_NEAR(lhs, rhs, 1e-4);
+}
+
+/// Per-element lowering, one bounds test per column element: the
+/// bit-exact reference for the row-copy im2col_into and
+/// col2im_accumulate.
+void
+reference_im2col(const Tensor& input, int64_t b, const ConvGeometry& g,
+                 float* out, int64_t ld)
+{
+    const int64_t oh = g.out_h(), ow = g.out_w();
+    const float* in = input.data() + b * g.in_channels * g.in_h * g.in_w;
+    for (int64_t c = 0; c < g.in_channels; ++c)
+        for (int64_t ky = 0; ky < g.kernel; ++ky)
+            for (int64_t kx = 0; kx < g.kernel; ++kx) {
+                float* dst = out + ((c * g.kernel + ky) * g.kernel + kx) * ld;
+                for (int64_t y = 0; y < oh; ++y) {
+                    const int64_t iy = y * g.stride + ky - g.pad;
+                    for (int64_t x = 0; x < ow; ++x) {
+                        const int64_t ix = x * g.stride + kx - g.pad;
+                        float v = 0.0f;
+                        if (iy >= 0 && iy < g.in_h && ix >= 0 &&
+                            ix < g.in_w)
+                            v = in[(c * g.in_h + iy) * g.in_w + ix];
+                        dst[y * ow + x] = v;
+                    }
+                }
+            }
+}
+
+void
+reference_col2im(const float* cols, Tensor& grad, int64_t b,
+                 const ConvGeometry& g, int64_t ld)
+{
+    const int64_t oh = g.out_h(), ow = g.out_w();
+    float* out = grad.data() + b * g.in_channels * g.in_h * g.in_w;
+    for (int64_t c = 0; c < g.in_channels; ++c)
+        for (int64_t ky = 0; ky < g.kernel; ++ky)
+            for (int64_t kx = 0; kx < g.kernel; ++kx) {
+                const float* src =
+                    cols + ((c * g.kernel + ky) * g.kernel + kx) * ld;
+                for (int64_t y = 0; y < oh; ++y) {
+                    const int64_t iy = y * g.stride + ky - g.pad;
+                    if (iy < 0 || iy >= g.in_h) continue;
+                    for (int64_t x = 0; x < ow; ++x) {
+                        const int64_t ix = x * g.stride + kx - g.pad;
+                        if (ix < 0 || ix >= g.in_w) continue;
+                        out[(c * g.in_h + iy) * g.in_w + ix] +=
+                            src[y * ow + x];
+                    }
+                }
+            }
+}
+
+bool
+same_bits(const float* a, const float* b, size_t n)
+{
+    return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+TEST(Lowering, RowCopyMatchesPerElementReference)
+{
+    struct Geom {
+        int64_t c, h, w, k, s, p;
+    };
+    const Geom geoms[] = {
+        {2, 5, 4, 3, 2, 1},  // odd height, stride 2
+        {1, 3, 3, 3, 1, 3},  // pad == kernel
+        {1, 2, 3, 2, 1, 4},  // pad > kernel
+        {3, 9, 7, 5, 2, 5},  // pad == kernel, stride 2
+        {3, 7, 7, 1, 1, 0},  // 1x1 kernel
+        {2, 6, 5, 1, 2, 0},  // 1x1 kernel, stride 2
+        {2, 5, 5, 1, 1, 2},  // 1x1 kernel in padding
+        {2, 3, 3, 3, 1, 0},  // 1x1 output map
+        {1, 1, 1, 3, 1, 1},  // 1x1 input and output
+        {1, 4, 4, 5, 3, 2},  // kernel > image
+        {1, 7, 9, 2, 3, 1},  // stride > kernel
+        {2, 8, 8, 3, 1, 1},  // a jigsaw tile
+        {2, 12, 11, 5, 1, 2},
+    };
+    Rng rng(10);
+    for (const Geom& gc : geoms) {
+        ConvGeometry g;
+        g.in_channels = gc.c;
+        g.in_h = gc.h;
+        g.in_w = gc.w;
+        g.kernel = gc.k;
+        g.stride = gc.s;
+        g.pad = gc.p;
+        const int64_t ohw = g.out_h() * g.out_w();
+        const int64_t rows = g.in_channels * g.kernel * g.kernel;
+        Tensor x({2, g.in_channels, g.in_h, g.in_w});
+        x.fill_uniform(rng, -1.0f, 1.0f);
+        for (const int64_t ld : {ohw, ohw + 3}) {
+            const std::string at =
+                "geom c" + std::to_string(gc.c) + " " +
+                std::to_string(gc.h) + "x" + std::to_string(gc.w) + " k" +
+                std::to_string(gc.k) + " s" + std::to_string(gc.s) +
+                " p" + std::to_string(gc.p) + " ld " + std::to_string(ld);
+            const auto size = static_cast<size_t>(rows * ld);
+            // The gap past R*C in each row must stay untouched.
+            std::vector<float> got(size, 7.0f), want(size, 7.0f);
+            im2col_into(x, 1, g, got.data(), ld);
+            reference_im2col(x, 1, g, want.data(), ld);
+            EXPECT_TRUE(same_bits(got.data(), want.data(), size))
+                << "im2col " << at;
+
+            // col2im accumulates into a non-zero gradient and must not
+            // read the gap, which holds NaN.
+            std::vector<float> cols(size,
+                                    std::numeric_limits<float>::quiet_NaN());
+            for (int64_t r = 0; r < rows; ++r)
+                for (int64_t i = 0; i < ohw; ++i)
+                    cols[static_cast<size_t>(r * ld + i)] =
+                        static_cast<float>(rng.uniform(-1.0, 1.0));
+            Tensor grad_got(x.shape());
+            grad_got.fill_uniform(rng, -1.0f, 1.0f);
+            Tensor grad_want = grad_got;
+            col2im_accumulate(cols.data(), grad_got, 1, g, ld);
+            reference_col2im(cols.data(), grad_want, 1, g, ld);
+            EXPECT_TRUE(same_bits(grad_got.data(), grad_want.data(),
+                                  static_cast<size_t>(x.numel())))
+                << "col2im " << at;
+        }
+    }
 }
 
 TEST(Tensor, FillUniformRespectsRange)
