@@ -91,8 +91,6 @@ main()
 
     IotSystemConfig config;
     config.tiny.num_permutations = 16;
-    config.link = iot_uplink_spec();
-    config.cloud_gpu = titan_x_spec();
     config.update.epochs = 2;
     config.update.lr = 0.01;
     config.pretrain_epochs = 4;

@@ -108,6 +108,11 @@ ROWS = {row.gate: row for row in (
         stdout_filter=r"^timing:",
         needles=grep("check_fleet_scale", "transcript.txt", "digest=")
         + grep("check_fleet_scale", STDOUT, "hot_allocs=0")),
+    # The single-node loop (IotSystemSim): three examples and Table II.
+    Row("check_quickstart", compare=((STDOUT, "check_quickstart"),)),
+    Row("check_wildlife", compare=((STDOUT, "check_wildlife"),)),
+    Row("check_longrun", compare=((STDOUT, "check_longrun"),)),
+    Row("check_table2", compare=((STDOUT, "check_table2"),)),
 )}
 
 

@@ -4,8 +4,6 @@
 #include <filesystem>
 #include <numeric>
 
-#include "nn/trainer.h"
-#include "tensor/workspace.h"
 #include "storage/codec.h"
 #include "storage/file.h"
 #include "obs/clock.h"
@@ -40,18 +38,16 @@ FleetSim::FleetSim(FleetConfig config)
     pending_uploads_.resize(n);
     checkpoints_.resize(n);
     upload_trace_.resize(n);
-    if (config_.delivery_objective > 0) {
-        // Burn-rate windows in stage time: the fast window sees the
-        // last couple of stages, the slow window a run's worth.
-        for (size_t i = 0; i < n; ++i) {
-            obs::SloObjective obj;
-            obj.name = "fleet.link" + std::to_string(i) + ".delivery";
-            obj.objective = config_.delivery_objective;
-            obj.fast_window_s = 2.0 * config_.stage_window_s;
-            obj.slow_window_s = 6.0 * config_.stage_window_s;
-            obj.min_events = 4;
-            slo_links_.push_back(slo_engine_.declare(obj));
-        }
+    // Burn-rate windows in stage time: the fast window sees the last
+    // couple of stages, the slow window a run's worth.
+    for (size_t i = 0; i < n; ++i) {
+        obs::SloObjective obj;
+        obj.name = "fleet.link" + std::to_string(i) + ".delivery";
+        obj.objective = kDeliveryObjective;
+        obj.fast_window_s = 2.0 * config_.stage_window_s;
+        obj.slow_window_s = 6.0 * config_.stage_window_s;
+        obj.min_events = 4;
+        slo_engine_.declare(obj);
     }
     if (config_.supervisor) {
         supervisor_.emplace(config_.supervisor->validated(), n);
@@ -324,24 +320,8 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
             nr.flag_rate = node_report.flag_rate;
             nr.accuracy_before = node_report.accuracy.value_or(0.0);
 
-            // Per-node scratch rides the thread-local arena: the
-            // flagged-index list lives for this scope only, so the
-            // steady-state step allocates nothing for it.
-            Workspace::Scope scope;
-            const auto& flags = node_report.flags;
-            int64_t* idx = Workspace::local().alloc_as<int64_t>(
-                static_cast<int64_t>(flags.size()));
-            int64_t flagged = 0;
-            for (size_t j = 0; j < flags.size(); ++j)
-                if (flags[j]) idx[flagged++] = static_cast<int64_t>(j);
-            Dataset valuable;
-            valuable.condition = data.condition;
-            valuable.images = gather_rows(data.images, idx, flagged);
-            valuable.labels.reserve(static_cast<size_t>(flagged));
-            for (int64_t k = 0; k < flagged; ++k)
-                valuable.labels.push_back(
-                    data.labels[static_cast<size_t>(idx[k])]);
-
+            Dataset valuable = flagged_subset(data, node_report.flags);
+            const int64_t flagged = valuable.size();
             if (pending_uploads_[i].size() == 0) {
                 pending_uploads_[i] = std::move(valuable);
             } else if (valuable.size() > 0) {
@@ -475,23 +455,20 @@ FleetSim::run_stage(int64_t images_per_node, double base_severity)
         // Per-link delivery SLO: deliveries are good events; terminal
         // losses (backlog evictions, crash-destroyed payloads) burn
         // the error budget. Stragglers are neither — they age.
-        if (!slo_links_.empty()) {
-            const int64_t bad = nr.dropped + nr.lost_in_crash;
-            obs::SloEvent ev = obs::SloEvent::kNone;
-            if (delivered > 0)
-                ev = slo_engine_.record(slo_links_[i], window_to, true,
-                                        delivered);
-            if (bad > 0) {
-                const obs::SloEvent ev2 = slo_engine_.record(
-                    slo_links_[i], window_to, false, bad);
-                if (ev2 != obs::SloEvent::kNone) ev = ev2;
-            }
-            if (ev == obs::SloEvent::kAlertRaised) {
-                ++report.slo_alerts;
-                black_box_.record(
-                    window_to, "slo.alert",
-                    "fleet.link" + std::to_string(i) + ".delivery");
-            }
+        const int64_t bad = nr.dropped + nr.lost_in_crash;
+        obs::SloEvent ev = obs::SloEvent::kNone;
+        if (delivered > 0)
+            ev = slo_engine_.record(i, window_to, true, delivered);
+        if (bad > 0) {
+            const obs::SloEvent ev2 =
+                slo_engine_.record(i, window_to, false, bad);
+            if (ev2 != obs::SloEvent::kNone) ev = ev2;
+        }
+        if (ev == obs::SloEvent::kAlertRaised) {
+            ++report.slo_alerts;
+            black_box_.record(
+                window_to, "slo.alert",
+                "fleet.link" + std::to_string(i) + ".delivery");
         }
         nr.uploaded = delivered;
         nr.backlogged = uplinks_[i].backlog();

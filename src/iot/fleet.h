@@ -47,6 +47,13 @@
 
 namespace insitu {
 
+/// Per-link delivery SLO of every fleet: the fraction of a link's
+/// flagged images that should reach the cloud (terminal losses —
+/// backlog evictions and crash-destroyed payloads — burn the budget;
+/// stragglers merely age). Burn-rate windows scale with
+/// FleetConfig::stage_window_s.
+inline constexpr double kDeliveryObjective = 0.90;
+
 /** Fleet-level configuration. */
 struct FleetConfig {
     TinyConfig tiny;
@@ -78,12 +85,6 @@ struct FleetConfig {
     double rollback_tolerance = 0.02;
     /// Failure scenario; the default injects nothing.
     FaultPlan faults;
-    /// Per-link delivery SLO: fraction of a link's flagged images
-    /// that should reach the cloud (terminal losses — backlog
-    /// evictions and crash-destroyed payloads — burn the budget;
-    /// stragglers merely age). Burn-rate windows scale with
-    /// stage_window_s. <= 0 disables the fleet SLOs.
-    double delivery_objective = 0.90;
     /// Optional self-healing supervision layer (uplink circuit
     /// breakers, crash-loop quarantine, canary rollout — see
     /// iot/supervisor.h). nullopt reproduces the unsupervised fleet
@@ -254,10 +255,9 @@ class FleetSim {
     /// Committed registry records found at construction, kept for
     /// recover_from_storage().
     std::vector<storage::WalRecord> recovered_records_;
-    /// Per-link delivery SLOs (one handle per node) fed on the serial
-    /// drain path; empty when delivery_objective <= 0.
+    /// Per-link delivery SLOs fed on the serial drain path, declared
+    /// in node order, so node i's objective is handle i.
     obs::SloEngine slo_engine_;
-    std::vector<size_t> slo_links_;
     /// Last-256-events black box (stage starts, crashes, quarantines,
     /// canary verdicts, updates, deploys); see flight().
     obs::FlightRecorder black_box_{256};

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "nn/quantize.h"
-#include "nn/trainer.h"
 #include "util/logging.h"
 
 namespace insitu {
@@ -22,7 +21,7 @@ iot_system_name(IotSystemKind kind)
 
 IotSystemSim::IotSystemSim(IotSystemKind kind, IotSystemConfig config)
     : kind_(kind), config_(config),
-      cloud_(config.tiny, config.cloud_gpu, config.seed),
+      cloud_(config.tiny, titan_x_spec(), config.seed),
       node_(config.tiny, cloud_.permutations(), config.shared_convs,
             config.diagnosis, config.seed ^ 0x0DEULL)
 {}
@@ -33,8 +32,9 @@ IotSystemSim::account_upload(StageMetrics& m, int64_t images) const
     m.uploaded = images;
     m.upload_bytes = static_cast<double>(images) *
                      config_.image_scale * bytes_per_image();
-    m.upload_energy_j = config_.link.transfer_energy(m.upload_bytes);
-    m.upload_seconds = config_.link.transfer_seconds(m.upload_bytes);
+    const LinkSpec link = iot_uplink_spec();
+    m.upload_energy_j = link.transfer_energy(m.upload_bytes);
+    m.upload_seconds = link.transfer_seconds(m.upload_bytes);
 }
 
 double
@@ -70,10 +70,12 @@ IotSystemSim::deploy()
 }
 
 StageMetrics
-IotSystemSim::bootstrap_stage(const Dataset& data)
+IotSystemSim::bootstrap(const Dataset& data)
 {
+    INSITU_CHECK(data.size() > 0, "bootstrap needs data");
     StageMetrics m;
     m.stage = 0;
+    stage_ = 1;
     m.acquired = data.size();
     // All variants ship the whole first stage to the cloud to build
     // the initial models (§V-B).
@@ -94,7 +96,7 @@ IotSystemSim::bootstrap_stage(const Dataset& data)
                               ? config_.shared_convs
                               : 0;
     m.labeled_images = data.size();
-    const UpdateReport report = cloud_.update(data, policy);
+    cloud_.update(data, policy);
 
     // Cost accounting at paper scale: pre-training (all variants pay
     // it once) plus the supervised pass.
@@ -113,15 +115,15 @@ IotSystemSim::bootstrap_stage(const Dataset& data)
     m.deploy_bytes = deploy();
     m.accuracy_before = 0.1; // untrained prior: chance
     m.accuracy_after = node_.inference().accuracy(data);
-    (void)report;
     return m;
 }
 
 StageMetrics
-IotSystemSim::incremental_stage(int stage, const Dataset& data)
+IotSystemSim::step(const Dataset& data)
 {
+    INSITU_CHECK(stage_ > 0, "call bootstrap() first");
     StageMetrics m;
-    m.stage = stage;
+    m.stage = stage_++;
     m.acquired = data.size();
 
     // The node always serves inference on everything it acquires.
@@ -129,44 +131,22 @@ IotSystemSim::incremental_stage(int stage, const Dataset& data)
     m.accuracy_before = node_report.accuracy.value_or(0.0);
     m.flag_rate = node_report.flag_rate;
 
-    // Who uploads what, and who filters.
-    Dataset valuable;
+    // Who uploads what, and who filters: (a) retrains on everything;
+    // (b) uploads everything and filters in the cloud; (c) and (d)
+    // upload only the node's flagged subset.
     const double paper_scale = config_.image_scale;
-    switch (kind_) {
-      case IotSystemKind::kCloudAll: {
-        account_upload(m, data.size());
-        valuable = data; // no filtering: retrain on everything
-        break;
-      }
-      case IotSystemKind::kCloudDiagnosis: {
-        account_upload(m, data.size());
+    const Dataset valuable = kind_ == IotSystemKind::kCloudAll
+                                 ? data
+                                 : flagged_subset(data, node_report.flags);
+    const bool node_filters = kind_ == IotSystemKind::kNodeDiagnosis ||
+                              kind_ == IotSystemKind::kInsituAi;
+    account_upload(m, node_filters ? valuable.size() : data.size());
+    if (kind_ == IotSystemKind::kCloudDiagnosis) {
         // The cloud replays the diagnosis to filter; pay its compute.
         const TrainingCost diag = cloud_.cost_model().diagnosis_cost(
             diagnosis_desc(tinynet_desc()),
             static_cast<double>(data.size()) * paper_scale);
         m.cloud_energy_j += diag.energy_j;
-        valuable = dataset_slice(data, 0, 0);
-        const auto idx =
-            DiagnosisTask::flagged_indices(node_report.flags);
-        valuable.images = gather_rows(data.images, idx);
-        valuable.labels.clear();
-        for (int64_t i : idx)
-            valuable.labels.push_back(
-                data.labels[static_cast<size_t>(i)]);
-        break;
-      }
-      case IotSystemKind::kNodeDiagnosis:
-      case IotSystemKind::kInsituAi: {
-        const auto idx =
-            DiagnosisTask::flagged_indices(node_report.flags);
-        valuable = dataset_slice(data, 0, 0);
-        valuable.images = gather_rows(data.images, idx);
-        for (int64_t i : idx)
-            valuable.labels.push_back(
-                data.labels[static_cast<size_t>(i)]);
-        account_upload(m, static_cast<int64_t>(idx.size()));
-        break;
-      }
     }
 
     // Continued unsupervised pre-training on the raw upload (every
@@ -174,14 +154,12 @@ IotSystemSim::incremental_stage(int stage, const Dataset& data)
     // (b)-(d) over the valuable subset). In variant (d) the shared
     // conv prefix is literally the same storage as the inference
     // network, so the unsupervised pass keeps improving both tasks.
-    const Dataset& pretrain_data =
-        kind_ == IotSystemKind::kCloudAll ? data : valuable;
-    if (pretrain_data.size() > 0) {
-        cloud_.pretrain(pretrain_data.images,
+    if (valuable.size() > 0) {
+        cloud_.pretrain(valuable.images,
                         config_.incremental_pretrain_epochs);
         const TrainingCost pre = cloud_.cost_model().train_cost(
             tinynet_desc(),
-            static_cast<double>(pretrain_data.size()) * paper_scale,
+            static_cast<double>(valuable.size()) * paper_scale,
             config_.incremental_pretrain_epochs);
         m.cloud_energy_j += pre.energy_j;
         m.train_seconds += pre.seconds;
@@ -213,14 +191,9 @@ std::vector<StageMetrics>
 IotSystemSim::run(IotStream& stream)
 {
     std::vector<StageMetrics> out;
-    int stage = 0;
     while (!stream.exhausted()) {
         const Dataset data = stream.next_stage();
-        if (stage == 0)
-            out.push_back(bootstrap_stage(data));
-        else
-            out.push_back(incremental_stage(stage, data));
-        ++stage;
+        out.push_back(out.empty() ? bootstrap(data) : step(data));
     }
     return out;
 }

@@ -64,8 +64,6 @@ struct StageMetrics {
 struct IotSystemConfig {
     TinyConfig tiny;
     SynthConfig synth;
-    LinkSpec link;
-    GpuSpec cloud_gpu;
     DiagnosisConfig diagnosis;
     UpdatePolicy update;        ///< base policy (epochs, lr, batch)
     size_t shared_convs = 3;    ///< weight-shared prefix (variant d)
@@ -81,26 +79,42 @@ struct IotSystemConfig {
     uint64_t seed = 1;
 };
 
-/** One Fig. 24 system, runnable stage by stage. */
+/**
+ * One Fig. 24 system, runnable stage by stage: the single-node
+ * In-situ AI loop. Uploads travel the IoT uplink (iot_uplink_spec())
+ * and the cloud trains on a Titan X (titan_x_spec()).
+ *
+ * Lifecycle: construct -> bootstrap(first stage) -> step() per later
+ * stage, or run() over a whole IotStream.
+ */
 class IotSystemSim {
   public:
     IotSystemSim(IotSystemKind kind, IotSystemConfig config);
 
     /**
-     * Consume every stage of @p stream: stage 0 bootstraps the models
-     * (full upload + pre-training in all variants, as in the paper),
-     * later stages follow the variant's topology.
+     * Stage 0 (Fig. 4): every variant ships the whole stage to the
+     * cloud, which pre-trains on the raw images, transfers the first
+     * shared_convs conv layers, trains on the labels and deploys to
+     * the node.
      */
+    StageMetrics bootstrap(const Dataset& data);
+
+    /**
+     * One incremental stage: the node predicts and diagnoses it, the
+     * variant's topology decides what uploads and what the cloud
+     * retrains on, and the refreshed models deploy back.
+     */
+    StageMetrics step(const Dataset& data);
+
+    /** bootstrap() on the stream's first stage, step() on the rest. */
     std::vector<StageMetrics> run(IotStream& stream);
 
     IotSystemKind kind() const { return kind_; }
     const ModelUpdateService& cloud() const { return cloud_; }
+    ModelUpdateService& cloud() { return cloud_; }
     InsituNode& node() { return node_; }
 
   private:
-    StageMetrics bootstrap_stage(const Dataset& data);
-    StageMetrics incremental_stage(int stage, const Dataset& data);
-
     /** Paper-scale upload accounting for @p images images. */
     void account_upload(StageMetrics& m, int64_t images) const;
 
@@ -112,6 +126,7 @@ class IotSystemSim {
     IotSystemConfig config_;
     ModelUpdateService cloud_;
     InsituNode node_;
+    int stage_ = 0; ///< the next stage's index; 0 until bootstrap()
 };
 
 } // namespace insitu

@@ -1,5 +1,7 @@
 #include "iot/tasks.h"
 
+#include "nn/trainer.h"
+#include "tensor/workspace.h"
 #include "util/logging.h"
 
 namespace insitu {
@@ -107,12 +109,25 @@ DiagnosisTask::score_against_errors(InferenceTask& inference,
     return BinaryMetrics::score(flags, truth);
 }
 
-std::vector<int64_t>
-DiagnosisTask::flagged_indices(const std::vector<bool>& flags)
+Dataset
+flagged_subset(const Dataset& data, const std::vector<bool>& flags)
 {
-    std::vector<int64_t> out;
-    for (size_t i = 0; i < flags.size(); ++i)
-        if (flags[i]) out.push_back(static_cast<int64_t>(i));
+    INSITU_CHECK(static_cast<int64_t>(flags.size()) == data.size(),
+                 "flagged_subset needs one flag per image");
+    // The index list rides the thread-local arena and lives for this
+    // call only, so a steady-state stage allocates nothing for it.
+    Workspace::Scope scope;
+    int64_t* idx = Workspace::local().alloc_as<int64_t>(
+        static_cast<int64_t>(flags.size()));
+    int64_t count = 0;
+    for (size_t j = 0; j < flags.size(); ++j)
+        if (flags[j]) idx[count++] = static_cast<int64_t>(j);
+    Dataset out;
+    out.condition = data.condition;
+    out.images = gather_rows(data.images, idx, count);
+    out.labels.reserve(static_cast<size_t>(count));
+    for (int64_t k = 0; k < count; ++k)
+        out.labels.push_back(data.labels[static_cast<size_t>(idx[k])]);
     return out;
 }
 

@@ -65,10 +65,6 @@ class DiagnosisTask {
     /** Fraction of images flagged valuable. */
     double flag_rate(const Tensor& images);
 
-    /** Indices of flagged images. */
-    static std::vector<int64_t> flagged_indices(
-        const std::vector<bool>& flags);
-
     /**
      * Detector-quality evaluation: score the diagnosis flags against
      * the set of images @p inference actually misclassifies on
@@ -89,5 +85,12 @@ class DiagnosisTask {
     DiagnosisConfig config_;
     Rng rng_;
 };
+
+/**
+ * The flagged rows of @p data — what a node uploads — with their
+ * labels, in ascending index order; the condition carries over.
+ */
+Dataset flagged_subset(const Dataset& data,
+                       const std::vector<bool>& flags);
 
 } // namespace insitu

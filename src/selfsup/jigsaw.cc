@@ -36,63 +36,44 @@ extract_patches(const Tensor& images)
     return out;
 }
 
-Tensor
-apply_permutation(const Tensor& patches,
-                  const PermutationSet::Perm& perm)
+namespace {
+
+/// The one tile gather: image n of @p in holds nine rows of @p row
+/// floats (one per tile, grid order), and slot s of image n in @p out
+/// gets row perms.perm(perm_ids[n])[s].
+void
+shuffle_tiles(const float* in, float* out, int64_t row,
+              const PermutationSet& perms,
+              std::span<const int64_t> perm_ids)
 {
-    INSITU_CHECK(patches.rank() == 5 &&
-                     patches.dim(1) == PermutationSet::kTiles,
-                 "apply_permutation expects (B, 9, C, ph, pw)");
-    Tensor out(patches.shape());
-    const int64_t b = patches.dim(0);
-    const int64_t tile_elems =
-        patches.numel() / (b * PermutationSet::kTiles);
-    const float* in = patches.data();
-    float* po = out.data();
-    for (int64_t n = 0; n < b; ++n) {
-        for (int64_t slot = 0; slot < PermutationSet::kTiles; ++slot) {
-            const int64_t src = perm[static_cast<size_t>(slot)];
-            std::copy(in + (n * PermutationSet::kTiles + src) *
-                               tile_elems,
-                      in + (n * PermutationSet::kTiles + src + 1) *
-                               tile_elems,
-                      po + (n * PermutationSet::kTiles + slot) *
-                               tile_elems);
+    constexpr int64_t kTiles = PermutationSet::kTiles;
+    for (size_t n = 0; n < perm_ids.size(); ++n) {
+        const auto& perm = perms.perm(static_cast<int>(perm_ids[n]));
+        const int64_t base = static_cast<int64_t>(n) * kTiles;
+        for (int64_t slot = 0; slot < kTiles; ++slot) {
+            const float* src =
+                in + (base + perm[static_cast<size_t>(slot)]) * row;
+            std::copy(src, src + row, out + (base + slot) * row);
         }
     }
-    return out;
 }
+
+} // namespace
 
 JigsawBatch
 make_jigsaw_batch(const Tensor& images, const PermutationSet& perms,
                   Rng& rng)
 {
     const Tensor tiles = extract_patches(images);
-    const int64_t b = images.dim(0);
     JigsawBatch batch;
-    batch.patches = Tensor(tiles.shape());
-    batch.labels.resize(static_cast<size_t>(b));
-    const int64_t tile_elems =
-        tiles.numel() / (b * PermutationSet::kTiles);
-    for (int64_t n = 0; n < b; ++n) {
-        const int idx =
-            static_cast<int>(rng.next_below(
-                static_cast<uint64_t>(perms.size())));
-        batch.labels[static_cast<size_t>(n)] = idx;
-        const auto& perm = perms.perm(idx);
-        for (int64_t slot = 0; slot < PermutationSet::kTiles; ++slot) {
-            const int64_t src = perm[static_cast<size_t>(slot)];
-            std::copy(tiles.data() +
-                          (n * PermutationSet::kTiles + src) *
-                              tile_elems,
-                      tiles.data() +
-                          (n * PermutationSet::kTiles + src + 1) *
-                              tile_elems,
-                      batch.patches.data() +
-                          (n * PermutationSet::kTiles + slot) *
-                              tile_elems);
-        }
-    }
+    batch.labels.resize(static_cast<size_t>(images.dim(0)));
+    for (auto& label : batch.labels)
+        label = static_cast<int64_t>(
+            rng.next_below(static_cast<uint64_t>(perms.size())));
+    batch.patches = Tensor::uninitialized(tiles.shape());
+    shuffle_tiles(tiles.data(), batch.patches.data(),
+                  tiles.dim(2) * tiles.dim(3) * tiles.dim(4), perms,
+                  batch.labels);
     return batch;
 }
 
@@ -158,21 +139,9 @@ JigsawNetwork::infer_shuffled(const Tensor& features,
     INSITU_CHECK(features.rank() == 2 &&
                      features.dim(0) == b * PermutationSet::kTiles,
                  "infer_shuffled expects (B*9, F) tile features");
-    const int64_t f = features.dim(1);
     Tensor gathered = Tensor::uninitialized(features.shape());
-    const float* in = features.data();
-    float* out = gathered.data();
-    for (int64_t n = 0; n < b; ++n) {
-        const auto& perm =
-            perms.perm(static_cast<int>(perm_ids[static_cast<size_t>(n)]));
-        for (int64_t slot = 0; slot < PermutationSet::kTiles; ++slot) {
-            const float* src =
-                in + (n * PermutationSet::kTiles +
-                      perm[static_cast<size_t>(slot)]) * f;
-            std::copy(src, src + f,
-                      out + (n * PermutationSet::kTiles + slot) * f);
-        }
-    }
+    shuffle_tiles(features.data(), gathered.data(), features.dim(1),
+                  perms, perm_ids);
     return head_.infer(concat_tiles(gathered, b));
 }
 

@@ -29,13 +29,6 @@ class Rng;
  */
 Tensor extract_patches(const Tensor& images);
 
-/**
- * Reorder the tile axis of a (B, 9, C, ph, pw) tensor so that output
- * slot i holds input tile perm[i].
- */
-Tensor apply_permutation(const Tensor& patches,
-                         const PermutationSet::Perm& perm);
-
 /** A pretext training batch: shuffled patches plus permutation ids. */
 struct JigsawBatch {
     Tensor patches; ///< (B, 9, C, ph, pw), tiles already shuffled

@@ -108,6 +108,20 @@ TEST(CoRunning, LooserLatencyNeverHurtsThroughput)
     }
 }
 
+TEST(Planners, TinyNetPlansAreValid)
+{
+    // The deployment the examples plan: TinyNet at a 100 ms budget.
+    SingleRunningPlanner single{GpuModel(tx1_spec())};
+    const SingleRunningPlan sp = single.plan(
+        tinynet_desc(), diagnosis_desc(tinynet_desc()), 0.1);
+    EXPECT_GE(sp.inference_batch, 1);
+    EXPECT_GE(sp.diagnosis_batch, 1);
+    CoRunningPlanner corun{FpgaModel(vx690t_spec())};
+    const CoRunningPlan cp = corun.plan(tinynet_desc(), 0.1);
+    EXPECT_TRUE(cp.feasible);
+    EXPECT_LE(cp.latency, 0.1);
+}
+
 TEST(MeasuredGpu, DeviatesFromModelBoundedly)
 {
     GpuModel model(tx1_spec());

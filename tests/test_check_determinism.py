@@ -124,7 +124,11 @@ class CheckDeterminism(unittest.TestCase):
              "check_serving": "check_serving",
              "check_slo": "check_slo", "check_degrade": "check_slo",
              "check_recovery": "check_recovery",
-             "check_fleet_scale": "check_fleet_scale"})
+             "check_fleet_scale": "check_fleet_scale",
+             "check_quickstart": "check_quickstart",
+             "check_wildlife": "check_wildlife",
+             "check_longrun": "check_longrun",
+             "check_table2": "check_table2"})
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/registry.h"
-#include "core/framework.h"
+#include "iot/system.h"
 #include "nn/quantize.h"
 
 namespace insitu {
@@ -18,8 +18,6 @@ tiny_system()
 {
     IotSystemConfig c;
     c.tiny.num_permutations = 8;
-    c.link = iot_uplink_spec();
-    c.cloud_gpu = titan_x_spec();
     c.update.epochs = 2;
     c.pretrain_epochs = 2;
     c.incremental_pretrain_epochs = 1;
@@ -78,32 +76,30 @@ TEST(Integration, WeightSharingHoldsThroughTheWholeLoop)
     // After bootstrap + incremental steps, the node's diagnosis trunk
     // must still alias the inference conv prefix, and cloud-side
     // sharing must survive updates.
-    FrameworkConfig config;
+    IotSystemConfig config;
     config.tiny.num_permutations = 8;
     config.update.epochs = 1;
     config.pretrain_epochs = 1;
     config.seed = 23;
-    Framework fw(config);
+    IotSystemSim sim(IotSystemKind::kInsituAi, config);
     Rng rng(29);
     SynthConfig synth;
-    fw.bootstrap(make_dataset(synth, 100, Condition::ideal(), rng));
-    for (int i = 0; i < 2; ++i) {
-        fw.autonomous_step(
-            make_dataset(synth, 50, Condition::in_situ(0.3), rng));
-    }
-    EXPECT_GE(fw.node().diagnosis().network().trunk().shared_conv_prefix(
-                  fw.node().inference().network()),
+    sim.bootstrap(make_dataset(synth, 100, Condition::ideal(), rng));
+    for (int i = 0; i < 2; ++i)
+        sim.step(make_dataset(synth, 50, Condition::in_situ(0.3), rng));
+    EXPECT_GE(sim.node().diagnosis().network().trunk().shared_conv_prefix(
+                  sim.node().inference().network()),
               3u);
-    EXPECT_GE(fw.cloud().inference().shared_conv_prefix(
-                  fw.cloud().jigsaw().trunk()),
+    EXPECT_GE(sim.cloud().inference().shared_conv_prefix(
+                  sim.cloud().jigsaw().trunk()),
               3u);
     // And the shared storage really is shared: writing through the
     // cloud trunk is visible through the cloud inference net.
-    auto ti = fw.cloud().jigsaw().trunk().conv_layer_indices();
-    auto ii = fw.cloud().inference().conv_layer_indices();
-    auto p = fw.cloud().jigsaw().trunk().layer(ti[0]).params()[0];
+    auto ti = sim.cloud().jigsaw().trunk().conv_layer_indices();
+    auto ii = sim.cloud().inference().conv_layer_indices();
+    auto p = sim.cloud().jigsaw().trunk().layer(ti[0]).params()[0];
     p->value().at(0) = 0.12345f;
-    EXPECT_EQ(fw.cloud()
+    EXPECT_EQ(sim.cloud()
                   .inference()
                   .layer(ii[0])
                   .params()[0]
@@ -116,22 +112,22 @@ TEST(Integration, QuantizedDeploymentPreservesNodePredictions)
 {
     // Ship the cloud model to a node through int8 quantization and
     // verify predictions barely move.
-    FrameworkConfig config;
+    IotSystemConfig config;
     config.tiny.num_permutations = 8;
     config.update.epochs = 2;
     config.pretrain_epochs = 1;
     config.seed = 31;
-    Framework fw(config);
+    IotSystemSim sim(IotSystemKind::kInsituAi, config);
     Rng rng(37);
     SynthConfig synth;
     const Dataset data =
         make_dataset(synth, 200, Condition::in_situ(0.2), rng);
-    fw.bootstrap(data);
+    sim.bootstrap(data);
 
-    const double acc_float = fw.node().inference().accuracy(data);
-    const QuantizedModel q = quantize_weights(fw.cloud().inference());
-    ASSERT_TRUE(dequantize_into(fw.node().inference().network(), q));
-    const double acc_int8 = fw.node().inference().accuracy(data);
+    const double acc_float = sim.node().inference().accuracy(data);
+    const QuantizedModel q = quantize_weights(sim.cloud().inference());
+    ASSERT_TRUE(dequantize_into(sim.node().inference().network(), q));
+    const double acc_int8 = sim.node().inference().accuracy(data);
     EXPECT_GT(acc_int8, acc_float - 0.05);
 }
 
@@ -139,24 +135,24 @@ TEST(Integration, RegistryGuardsTheIncrementalLoop)
 {
     // Version every update; a deliberately poisoned update must be
     // rolled back to the best version.
-    FrameworkConfig config;
+    IotSystemConfig config;
     config.tiny.num_permutations = 8;
     config.update.epochs = 2;
     config.pretrain_epochs = 1;
     config.seed = 41;
-    Framework fw(config);
+    IotSystemSim sim(IotSystemKind::kInsituAi, config);
     Rng rng(43);
     SynthConfig synth;
     const Dataset holdout =
         make_dataset(synth, 150, Condition::in_situ(0.2), rng);
-    fw.bootstrap(holdout);
+    sim.bootstrap(holdout);
 
     ModelRegistry registry;
-    const double good_acc = fw.node().inference().accuracy(holdout);
-    registry.commit(fw.cloud().inference(), "good", good_acc, 150);
+    const double good_acc = sim.node().inference().accuracy(holdout);
+    registry.commit(sim.cloud().inference(), "good", good_acc, 150);
 
     // Poison the cloud model.
-    for (auto& p : fw.cloud().inference().params())
+    for (auto& p : sim.cloud().inference().params())
         p->value().fill(0.0f);
     const double bad_acc = [&] {
         InferenceTask probe(
@@ -164,19 +160,19 @@ TEST(Integration, RegistryGuardsTheIncrementalLoop)
                 Rng r(1);
                 TinyConfig t = config.tiny;
                 Network n = make_tiny_inference(t, r);
-                copy_parameters(n, fw.cloud().inference());
+                copy_parameters(n, sim.cloud().inference());
                 return n;
             }());
         return probe.accuracy(holdout);
     }();
-    registry.commit(fw.cloud().inference(), "poisoned", bad_acc, 200);
+    registry.commit(sim.cloud().inference(), "poisoned", bad_acc, 200);
 
     const auto rolled =
-        registry.rollback_if_regressed(fw.cloud().inference(), 0.02);
+        registry.rollback_if_regressed(sim.cloud().inference(), 0.02);
     ASSERT_TRUE(rolled.has_value());
     // Redeploy and confirm the node is healthy again.
-    fw.node().deploy_inference(fw.cloud().inference());
-    EXPECT_NEAR(fw.node().inference().accuracy(holdout), good_acc,
+    sim.node().deploy_inference(sim.cloud().inference());
+    EXPECT_NEAR(sim.node().inference().accuracy(holdout), good_acc,
                 1e-9);
 }
 

@@ -65,11 +65,36 @@ TEST(DiagnosisTask, UntrainedNetworkFlagsAlmostEverything)
     EXPECT_GT(task.flag_rate(d.images), 0.7);
 }
 
-TEST(DiagnosisTask, FlaggedIndicesMatchFlags)
+TEST(FlaggedSubset, GathersFlaggedRowsAndLabelsInOrder)
 {
-    const std::vector<bool> flags = {true, false, true, true, false};
-    const auto idx = DiagnosisTask::flagged_indices(flags);
-    EXPECT_EQ(idx, (std::vector<int64_t>{0, 2, 3}));
+    Rng rng(5);
+    SynthConfig synth;
+    const Dataset d =
+        make_dataset(synth, 5, Condition::in_situ(0.3), rng);
+    const int64_t row = d.images.numel() / d.size();
+    const Dataset sub =
+        flagged_subset(d, {true, false, true, true, false});
+    ASSERT_EQ(sub.size(), 3);
+    EXPECT_EQ(sub.condition.name, d.condition.name);
+    EXPECT_EQ(sub.condition.brightness, d.condition.brightness);
+    const std::vector<int64_t> idx = {0, 2, 3};
+    for (size_t k = 0; k < idx.size(); ++k) {
+        EXPECT_EQ(sub.labels[k], d.labels[static_cast<size_t>(idx[k])]);
+        for (int64_t e = 0; e < row; ++e)
+            EXPECT_EQ(sub.images.at(static_cast<int64_t>(k) * row + e),
+                      d.images.at(idx[k] * row + e));
+    }
+
+    const Dataset none = flagged_subset(d, std::vector<bool>(5, false));
+    EXPECT_EQ(none.size(), 0);
+    EXPECT_TRUE(none.labels.empty());
+    EXPECT_EQ(none.condition.name, d.condition.name);
+
+    const Dataset all = flagged_subset(d, std::vector<bool>(5, true));
+    ASSERT_EQ(all.size(), 5);
+    EXPECT_EQ(all.labels, d.labels);
+    for (int64_t i = 0; i < d.images.numel(); ++i)
+        EXPECT_EQ(all.images.at(i), d.images.at(i));
 }
 
 TEST(DiagnosisTask, ThresholdValidation)
@@ -164,8 +189,6 @@ small_system_config()
 {
     IotSystemConfig c;
     c.tiny = small_tiny();
-    c.link = iot_uplink_spec();
-    c.cloud_gpu = titan_x_spec();
     c.update.epochs = 1;
     c.pretrain_epochs = 1;
     c.image_scale = 1000.0;
@@ -249,6 +272,60 @@ TEST(SystemSim, AccuracyImprovesOverBootstrapChance)
                      31);
     const auto stages = sim.run(stream);
     EXPECT_GT(stages[0].accuracy_after, 0.2); // well above 10% chance
+}
+
+IotSystemConfig
+loop_config()
+{
+    IotSystemConfig c;
+    c.tiny.num_permutations = 8;
+    c.update.epochs = 4;
+    c.update.lr = 0.02;
+    c.pretrain_epochs = 2;
+    c.seed = 5;
+    return c;
+}
+
+TEST(SystemSim, BootstrapTrainsAndSharesConvs)
+{
+    IotSystemSim sim(IotSystemKind::kInsituAi, loop_config());
+    Rng rng(6);
+    SynthConfig synth;
+    const Dataset initial =
+        make_dataset(synth, 200, Condition::in_situ(0.2), rng);
+    const StageMetrics m = sim.bootstrap(initial);
+    EXPECT_GT(m.accuracy_after, 0.25); // far above 10% chance
+    // Cloud inference and jigsaw trunk share the conv prefix.
+    EXPECT_GE(sim.cloud().inference().shared_conv_prefix(
+                  sim.cloud().jigsaw().trunk()),
+              3u);
+}
+
+TEST(SystemSim, StepBeforeBootstrapDies)
+{
+    IotSystemSim sim(IotSystemKind::kInsituAi, loop_config());
+    Rng rng(7);
+    SynthConfig synth;
+    const Dataset d = make_dataset(synth, 5, Condition::ideal(), rng);
+    EXPECT_DEATH(sim.step(d), "bootstrap");
+}
+
+TEST(SystemSim, StepUploadsFlaggedSubsetAndUpdates)
+{
+    IotSystemSim sim(IotSystemKind::kInsituAi, loop_config());
+    Rng rng(8);
+    SynthConfig synth;
+    sim.bootstrap(make_dataset(synth, 150, Condition::in_situ(0.2), rng));
+    const Dataset stage =
+        make_dataset(synth, 60, Condition::in_situ(0.35), rng);
+    const StageMetrics m = sim.step(stage);
+    EXPECT_EQ(m.stage, 1);
+    EXPECT_EQ(m.acquired, 60);
+    EXPECT_LE(m.uploaded, 60);
+    EXPECT_NEAR(static_cast<double>(m.uploaded), m.flag_rate * 60.0,
+                1e-9);
+    EXPECT_EQ(m.labeled_images, m.uploaded);
+    EXPECT_GE(m.accuracy_after, 0.0);
 }
 
 TEST(SystemSim, NamesAreStable)

@@ -108,8 +108,6 @@ TEST(DeployBytes, QuantizedDownlinkIsSmaller)
 {
     IotSystemConfig config;
     config.tiny.num_permutations = 8;
-    config.link = iot_uplink_spec();
-    config.cloud_gpu = titan_x_spec();
     config.update.epochs = 1;
     config.pretrain_epochs = 1;
     config.seed = 9;

@@ -95,30 +95,40 @@ TEST(Patches, NonDivisibleSizeDies)
 
 TEST(Patches, ApplyPermutationReordersTiles)
 {
+    // Every pixel of the 6x6 image is distinct, so each slot of the
+    // shuffled batch identifies the image region it came from.
+    Rng rng(4);
+    PermutationSet set(8, rng);
     Tensor img({1, 1, 6, 6});
     for (int64_t i = 0; i < img.numel(); ++i)
         img.at(i) = static_cast<float>(i);
-    const Tensor tiles = extract_patches(img);
-    PermutationSet::Perm perm = {8, 7, 6, 5, 4, 3, 2, 1, 0};
-    const Tensor shuffled = apply_permutation(tiles, perm);
-    // Slot 0 holds source tile 8.
-    for (int64_t e = 0; e < 4; ++e)
-        EXPECT_EQ(shuffled.at(e), tiles.at(8 * 4 + e));
-    // Slot 4 holds source tile 4 (fixed point).
-    for (int64_t e = 0; e < 4; ++e)
-        EXPECT_EQ(shuffled.at(4 * 4 + e), tiles.at(4 * 4 + e));
+    Rng batch_rng(3);
+    JigsawBatch batch = make_jigsaw_batch(img, set, batch_rng);
+    while (batch.labels[0] == 0) // skip the identity draw
+        batch = make_jigsaw_batch(img, set, batch_rng);
+    const auto& perm = set.perm(static_cast<int>(batch.labels[0]));
+    for (int64_t slot = 0; slot < 9; ++slot) {
+        const int64_t src = perm[static_cast<size_t>(slot)];
+        for (int64_t y = 0; y < 2; ++y)
+            for (int64_t x = 0; x < 2; ++x)
+                EXPECT_EQ(batch.patches.at(slot * 4 + y * 2 + x),
+                          img.at(0, 0, (src / 3) * 2 + y,
+                                 (src % 3) * 2 + x));
+    }
 }
 
 TEST(Patches, IdentityPermutationIsNoop)
 {
+    // A one-entry set holds only the identity (entry 0).
     Rng rng(5);
+    PermutationSet set(1, rng);
     Tensor img({2, 3, 6, 6});
     img.fill_uniform(rng, 0.0f, 1.0f);
     const Tensor tiles = extract_patches(img);
-    PermutationSet::Perm id = {0, 1, 2, 3, 4, 5, 6, 7, 8};
-    const Tensor same = apply_permutation(tiles, id);
+    const JigsawBatch same = make_jigsaw_batch(img, set, rng);
+    EXPECT_EQ(same.labels, (std::vector<int64_t>{0, 0}));
     for (int64_t i = 0; i < tiles.numel(); ++i)
-        EXPECT_EQ(same.at(i), tiles.at(i));
+        EXPECT_EQ(same.patches.at(i), tiles.at(i));
 }
 
 TEST(JigsawBatch, LabelsMatchAppliedPermutations)
